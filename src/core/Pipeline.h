@@ -13,6 +13,7 @@
 ///         -> region inference (strategy rg / rg- / r)
 ///         -> region type check (GC-safe rules of Figure 4)
 ///         -> region-representation analyses (multiplicity, drop, kinds)
+///         -> flattening to the self-contained flat IR (flat/Flat.h)
 ///         -> execution on the region runtime with reference-tracing GC
 ///
 /// Typical use:
@@ -108,10 +109,10 @@ struct CompiledUnit {
   /// survives serialisation.
   std::optional<CaptureInfo> Captures;
   /// The flat, offset-based form of the program (built by the "flatten"
-  /// phase): directly executable (Compiler::runFlat / rt::runFlatUnit)
-  /// and what the disk cache persists to make warm restarts runnable.
-  /// Shared, not owned — the service caches hand the same unit to the
-  /// in-memory tier, the disk tier and concurrent runs.
+  /// phase): what every run executes (Compiler::run / runFlat) and what
+  /// the service caches keep once the Compiler is gone. Shared, not
+  /// owned — the caches hand the same unit to the in-memory tier, the
+  /// disk tier and concurrent runs.
   std::shared_ptr<const flat::FlatUnit> Flat;
   /// Region type and effect of the whole program (from the checker; only
   /// set when Options.Check).
@@ -154,14 +155,15 @@ struct CompileAndRunResult {
 ///    unit and const interner state. Once a compile has returned, any
 ///    number of threads may concurrently run()/print a CompiledUnit
 ///    provided no thread calls compile() on the owner in the meantime.
-///    The service layer's compile cache freezes one Compiler per cached
-///    unit to make shared units immutable by construction.
+///    The service layer's compile cache sidesteps the question: it
+///    keeps only each unit's rendered products and flat form, never the
+///    Compiler or the CompiledUnit.
 ///  * Arenas grow monotonically: compiling N sources through one
 ///    Compiler keeps every previously returned CompiledUnit valid, at
 ///    the cost of memory linear in the total source compiled (see
 ///    arenaFootprint()). Long-lived single-Compiler loops should either
 ///    accept that linear growth or recycle the Compiler; the service
-///    layer instead uses one short-lived Compiler per cache entry.
+///    layer instead uses one short-lived Compiler per compile.
 class Compiler {
 public:
   Compiler() = default;
@@ -209,20 +211,23 @@ public:
   /// the phase governor rather than finishing or failing on its own.
   bool wasCutOff() const { return CutOff; }
 
-  /// Executes a compiled unit on the region runtime. GC is enabled
-  /// unless the unit was compiled with Strategy::R. Const: safe to call
-  /// concurrently from several threads on the same unit (each run gets
-  /// its own heap). EvalOpts.SharedPool lets concurrent runs recycle
-  /// standard region pages through one rt::PagePool; it is ignored when
-  /// EvalOpts.RetainReleasedPages asks for exact dangling detection.
+  /// Executes a compiled unit on the region runtime: runFlat over the
+  /// unit's flat form, reporting to this Compiler's trace sink. GC is
+  /// enabled unless the unit was compiled with Strategy::R. Const: safe
+  /// to call concurrently from several threads on the same unit (each
+  /// run gets its own heap). EvalOpts.SharedPool lets concurrent runs
+  /// recycle standard region pages through one rt::PagePool; it is
+  /// ignored when EvalOpts.RetainReleasedPages asks for exact dangling
+  /// detection.
   rt::RunResult run(const CompiledUnit &Unit,
                     rt::EvalOptions EvalOpts = {}) const;
 
-  /// Executes a flat unit — same contract and RunResult shape as run(),
-  /// including the "run" PhaseProfile and the Strategy::R GC gate — but
-  /// needs no Compiler instance at all: this is how disk-cache hits run
-  /// without recompiling. Static because a decoded FlatUnit is
-  /// self-contained (its own string table, resolved region facts).
+  /// Executes a flat unit — the one execution path, with the run()
+  /// contract: the "run" PhaseProfile, the Strategy::R GC gate and the
+  /// pool quarantine. Needs no Compiler instance at all, which is how
+  /// cache entries run after their Compiler is gone. Static because a
+  /// FlatUnit is self-contained (its own string table, resolved region
+  /// facts).
   static rt::RunResult runFlat(const flat::FlatUnit &Flat,
                                rt::EvalOptions EvalOpts = {},
                                TraceSink *Sink = nullptr);

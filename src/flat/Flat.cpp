@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cstring>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 
 using namespace rml;
@@ -24,18 +25,26 @@ const FlatRegion *FlatUnit::regionInfo(uint32_t Id) const {
   return &*It;
 }
 
+size_t FlatUnit::retainedBytes() const {
+  auto Bytes = [](const auto &V) {
+    return V.size() * sizeof(typename std::decay_t<decltype(V)>::value_type);
+  };
+  return sizeof(FlatUnit) + Bytes(Nodes) + Bytes(Fns) + Bytes(Caps) +
+         Bytes(Aux) + Bytes(Mus) + Bytes(Taus) + Bytes(Regions) +
+         Bytes(ExnNames) + StringBlob.size() + Bytes(StringSpans);
+}
+
 //===----------------------------------------------------------------------===//
 // Flattening
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Mirror of the tree evaluator's per-function compilation pass
-/// (rt/Eval.cpp): fun/lambda discovery in pre-order, capture lists,
-/// RApp argument resolution against the lexical fun scope, and the
-/// free-region computation with the drop analysis applied. Kept
-/// operation-for-operation identical so a flat run allocates exactly
-/// the words the tree run does — the differential suite pins this.
+/// The per-function compilation pass: fun/lambda discovery in
+/// pre-order, capture lists, RApp argument resolution against the
+/// lexical fun scope, and the free-region computation with the drop
+/// analysis applied. Closure sizes follow from it, so it fixes the
+/// words a run allocates — tests/golden_run_test.cpp pins them.
 struct FnInfo {
   const RExpr *Node = nullptr;
   const RExpr *Body = nullptr;
@@ -284,7 +293,7 @@ private:
   }
 
   uint32_t exnIdOf(Symbol Name) const {
-    // Unregistered constructors get the tree evaluator's sentinel.
+    // Unregistered constructors get a sentinel id.
     auto It = FP.ExnIds.find(Name);
     return It != FP.ExnIds.end() ? It->second : UINT32_MAX - 2;
   }

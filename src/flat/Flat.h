@@ -25,7 +25,7 @@
 ///            Seq item lists, RApp (formal,target) pairs, fn captures
 ///            and free-region sets
 ///   Mus/Taus the result type reachable from RootMu, for rendering the
-///            final value exactly like the tree walk does
+///            final value
 ///   Regions  per static region id: kind (tag-free layout decisions)
 ///            and finite-multiplicity sizing
 ///   ExnNames exception-constructor names in id order (the ids baked
@@ -33,7 +33,7 @@
 ///   Strings  one deduplicated blob; name ids ARE string-table indices,
 ///            so a FlatUnit never needs the Compiler's interner
 ///
-/// Everything semantic the tree-walking evaluator consults at runtime —
+/// Everything semantic the interpreter would otherwise consult at runtime —
 /// drop analysis (absorbed into RApp pairs and free-region sets),
 /// multiplicity, region kinds, exception ids — is resolved at flatten
 /// time, so executing a FlatUnit needs no analysis structures at all.
@@ -88,7 +88,7 @@ struct FlatNode {
   uint32_t TailName = NoIndex; ///< ListCase tail binder
   uint32_t BindName = NoIndex; ///< Handle argument binder
   /// ExnConE: the resolved exception id (an unregistered constructor
-  /// resolves to the tree evaluator's UINT32_MAX-2 sentinel). Handle:
+  /// resolves to the UINT32_MAX-2 sentinel). Handle:
   /// the id the handler matches, or NoIndex for a catch-all.
   uint32_t ExnId = NoIndex;
   uint32_t Str = NoIndex; ///< StrE literal (string index)
@@ -106,8 +106,7 @@ struct FlatCapture {
   uint32_t EffectBegin = 0, EffectCount = 0; ///< in the latent effect
 };
 
-/// One compiled lambda / fun binding — the flat twin of the tree
-/// evaluator's per-function record, with the drop analysis already
+/// One compiled lambda / fun binding, with the drop analysis already
 /// applied to the free-region set.
 struct FlatFn {
   uint32_t Body = NoIndex;  ///< body node
@@ -116,7 +115,7 @@ struct FlatFn {
   /// Captured variable name ids, in freeVars order (span into Aux).
   uint32_t CapturesBegin = 0, CapturesCount = 0;
   /// Free static region ids to pack into closures (span into Aux;
-  /// ascending, as the tree evaluator's set iteration produces).
+  /// ascending).
   uint32_t FreeRegionsBegin = 0, FreeRegionsCount = 0;
 };
 
@@ -134,7 +133,7 @@ struct FlatTau {
 struct FlatRegion {
   uint32_t Id = 0;
   uint8_t Kind = 0;   ///< RegionKind (unfiltered; TagFreePairs applies
-                      ///< at runtime exactly like the tree walk)
+                      ///< at runtime)
   uint8_t Finite = 0; ///< multiplicity verdict
   uint32_t Words = 0; ///< exact block size for finite regions (0 unknown)
 };
@@ -169,9 +168,14 @@ struct FlatUnit {
     return std::string_view(StringBlob).substr(Off, Len);
   }
 
+  /// Heap bytes this unit holds: the struct plus every table's
+  /// elements (sizes, not capacities, so a fresh unit and its decoded
+  /// copy report the same number).
+  size_t retainedBytes() const;
+
   /// Region facts for \p Id (binary search), or null when the id has no
   /// entry — then the kind is RegionKind::Empty and the region is
-  /// infinite, exactly the tree evaluator's map-miss defaults.
+  /// infinite.
   const FlatRegion *regionInfo(uint32_t Id) const;
 };
 
@@ -189,7 +193,7 @@ FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
                         const CaptureInfo *Caps = nullptr);
 
 /// Renders the capture report from a flat unit's embedded table —
-/// byte-identical to Compiler::captureReport on the tree side (same
+/// byte-identical to Compiler::captureReport on the compiled unit (same
 /// formatter, same data). Empty when the unit carries no table.
 std::string renderCaptureReport(const FlatUnit &U);
 

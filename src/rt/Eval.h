@@ -1,4 +1,4 @@
-//===- rt/Eval.h - Region-aware evaluator -----------------------*- C++ -*-===//
+//===- rt/Eval.h - Evaluator options and results ---------------*- C++ -*-===//
 //
 // Part of RegionML, a reproduction of "Garbage-Collection Safety for
 // Region-Based Type-Polymorphic Programs" (Elsman, PLDI 2023).
@@ -6,17 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The realistic runtime: compiles a region-annotated program to a small
-/// code table (one entry per lambda/fun with its capture and free-region
-/// sets) and interprets it against the region heap, interleaving the
-/// copying collector at allocation points — the execution model whose
-/// safety Theorem 2 (containment) establishes.
+/// The runtime's configuration and result types. The interpreter itself
+/// (rt/FlatEval.h) runs a program's flat form against the region heap,
+/// interleaving the copying collector at allocation points — the
+/// execution model whose safety Theorem 2 (containment) establishes:
 ///
 ///  * letregion creates/destroys regions following the stack discipline;
 ///  * closures are region-allocated records holding captured values plus
 ///    the region parameters bound by region application ([Rapp]);
 ///  * the collector runs when the allocation budget is exceeded, rooted
-///    in the evaluator's environment and temporary stacks;
+///    in the interpreter's environment and temporary stacks;
 ///  * under the unsound rg- annotations the collector reports a dangling
 ///    pointer (DanglingPointer outcome) — the paper's observable crash;
 ///  * exceptions unwind through letregion, releasing regions on the way
@@ -27,17 +26,10 @@
 #ifndef RML_RT_EVAL_H
 #define RML_RT_EVAL_H
 
-#include "region/RExpr.h"
-#include "rinfer/DropRegions.h"
-#include "rinfer/Multiplicity.h"
-#include "rinfer/RegionKinds.h"
 #include "rt/GcPolicy.h"
 #include "rt/Region.h"
-#include "rt/Value.h"
-#include "support/Interner.h"
 #include "support/Trace.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +43,8 @@ struct EvalOptions {
   bool UseFiniteRegions = true;          // multiplicity-driven sizing
   bool RetainReleasedPages = false;      // exact dangling detection
   uint64_t StepLimit = 400'000'000;      // interpreter fuel
-  /// Native-stack budget for the tree-walking interpreter (no tail-call
-  /// optimisation): once the evaluator has consumed this much C++ stack,
+  /// Native-stack budget for the interpreter, which recurses on the C++
+  /// stack (no tail-call optimisation): once it has consumed this much,
   /// the run fails gracefully instead of overflowing. Self-adjusts to
   /// frame sizes across build modes.
   size_t StackLimitBytes = 6u * 1024 * 1024 + 512 * 1024;
@@ -112,16 +104,10 @@ struct RunResult {
   GcPolicyStats Policy;
   /// The runtime phase's profile (name Compiler::RunPhaseName, wall
   /// time, HeapStats fold-in, GcPauses fold-in). Filled by
-  /// Compiler::run, which times the whole execution; empty when
-  /// runProgram is called directly.
+  /// Compiler::run / Compiler::runFlat, which time the whole execution;
+  /// empty when rt::runFlatUnit is called directly.
   PhaseProfile Phase;
 };
-
-/// Compiles and runs \p P.
-RunResult runProgram(const RProgram &P, const Mu *RootMu,
-                     const MultiplicityInfo &Mult, const RegionKindInfo &Kinds,
-                     const DropInfo &Drops, const Interner &Names,
-                     const EvalOptions &Opts);
 
 } // namespace rml::rt
 

@@ -1,11 +1,9 @@
 //===- rt/FlatEval.cpp ----------------------------------------------------===//
 //
-// The flat twin of rt/Eval.cpp's Machine. Every evaluation rule below
-// is an operation-for-operation port of the tree walk: identical
-// allocation word counts, GC trigger points, rooting discipline and
-// error strings. When changing either evaluator, change both — the
-// differential suite (tests/mml_files_test.cpp, tests/fuzz_test.cpp,
-// tests/flat_test.cpp) fails on any observable divergence.
+// The interpreter over flat units. Allocation word counts, GC trigger
+// points, the rooting discipline and error strings are observable:
+// tests/golden_run_test.cpp pins them against a recorded fixture, and
+// the small-step semantics (tests/fuzz_test.cpp) checks results.
 //
 //===----------------------------------------------------------------------===//
 

@@ -6,17 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a flat::FlatUnit directly — no RExpr tree, no Interner, no
-/// analysis structures. An exact operational mirror of the tree-walking
-/// evaluator (rt/Eval.cpp): the same EvalOptions, the same allocation
-/// sites and word counts, the same GC trigger points, write barrier,
-/// step accounting and error strings, and the same RunResult shape —
-/// so tree and flat runs of one program agree on every observable,
-/// including HeapStats and GC-safety attribution (the differential
-/// suite pins this across the rg/rg-/r strategy grid).
+/// The region runtime's interpreter. It executes a flat::FlatUnit
+/// directly — no RExpr tree, no Interner, no analysis structures — under
+/// rt::EvalOptions and reports an rt::RunResult (rt/Eval.h). Every run
+/// goes through here: fresh compiles (Compiler::run), memory-tier and
+/// disk-tier cache entries alike. tests/golden_run_test.cpp pins its
+/// observables — outcome, output, steps, HeapStats, GC counts and
+/// policy moves — across the rg/rg-/r strategy grid.
 ///
-/// This is what makes disk-cache entries runnable: a decoded FlatUnit
-/// needs nothing from its original Compiler.
+/// A decoded FlatUnit needs nothing from its original Compiler, which
+/// is what makes disk-cache entries runnable.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -54,8 +54,8 @@ struct ServiceConfig {
   size_t QueueCapacity = 256;
   /// LRU compile-cache entries; 0 disables caching.
   size_t CacheCapacity = 128;
-  /// Bound on the cache's summed arena footprint (nodes across frozen
-  /// per-entry Compilers); 0 leaves cost unbounded (entry count only).
+  /// Bound on the cache's summed retained bytes (CachedCompile::Cost);
+  /// 0 leaves cost unbounded (entry count only).
   size_t CacheCostCapacity = 0;
   /// Directory for the persistent compile-cache tier (rmlc --cache-dir):
   /// each successful or failed compile's static products are written as

@@ -141,7 +141,6 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
   putU64(Buf, V.Profiles.size());
   for (const PhaseProfile &P : V.Profiles)
     putStr(Buf, P.Name);
-  putU64(Buf, V.Cost);
   // The runnable payload: the flat unit's own self-checking encoding
   // (magic, version, checksum) nested as one counted string. Successful
   // compiles always carry one; failed compiles persist presence 0.
@@ -219,7 +218,6 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
     P.Skipped = true;
     CC->Profiles.push_back(std::move(P));
   }
-  CC->Cost = std::max<uint64_t>(1, R.u64());
   uint8_t HasFlat = R.u8();
   std::string FlatBytes = HasFlat == 1 ? R.str() : std::string();
 
@@ -227,8 +225,10 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
   // magic/version) and key mismatches — including a genuine FNV-1a
   // collision, where the hash matches but the embedded source or
   // option bytes differ — all reject to a miss. Never a wrong answer.
+  // The flat section is present exactly for successful compiles: an
+  // ok entry without one could not serve a run.
   if (!R.done() || !MagicOk || Version != FormatVersion ||
-      HasFlat > 1 || Hash != K.Hash || Source != K.Source ||
+      HasFlat != CC->Ok || Hash != K.Hash || Source != K.Source ||
       Strat != static_cast<uint8_t>(K.Strat) ||
       Spurious != static_cast<uint8_t>(K.Spurious) ||
       Check != (K.Check ? 1 : 0) || Captures != (K.Captures ? 1 : 0)) {
@@ -246,6 +246,7 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
       return nullptr;
     }
   }
+  CC->Cost = CC->retainedBytes();
   ++Hits;
   return CC;
 }

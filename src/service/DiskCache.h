@@ -8,11 +8,12 @@
 /// \file
 /// The on-disk tier beneath the in-memory CompileCache. The static
 /// pipeline is pure and deterministic per (source, CompileOptions) —
-/// the premise service/Hash.h documents — so the *static* products of a
-/// compilation (printed program, rendered diagnostics, the top-level
-/// scheme table, phase names and the eviction cost) are safe to persist
-/// and reuse across process restarts: the same inputs can only ever
-/// produce the same bytes.
+/// the premise service/Hash.h documents — so every field of a cache
+/// entry (printed program, rendered diagnostics, the top-level scheme
+/// table, phase names and the flat unit) is safe to persist and reuse
+/// across process restarts: the same inputs can only ever produce the
+/// same bytes. A loaded entry has the same fields as a fresh one, and
+/// its Cost is recomputed from them rather than persisted.
 ///
 /// One file per entry under the cache directory, named by the
 /// 16-hex-digit content hash (`<hash>.rmlc`). Writes are atomic —
@@ -27,15 +28,14 @@
 /// degrade to a miss — the service recompiles; it never serves a wrong
 /// answer. Rejections and write failures are counted, never thrown.
 ///
-/// **Runnable entries.** The CompiledUnit itself — a web of arena
-/// pointers — is never serialised; instead each successful entry embeds
-/// the program's flat, offset-based form (flat/Flat.h, its own magic,
-/// version and checksum), which Compiler::runFlat executes directly.
-/// A warm restart's first Run=true request therefore completes from
-/// disk with zero compile phases. The flat section fails closed like
-/// everything else: a damaged or undecodable flat unit rejects the
-/// whole entry to a miss (counted in LoadRejects) rather than loading
-/// a half-runnable entry.
+/// **Runnable entries.** Each successful entry embeds the program's
+/// flat, offset-based form (flat/Flat.h, its own magic, version and
+/// checksum), which Compiler::runFlat executes directly. A warm
+/// restart's first Run=true request therefore completes from disk with
+/// zero compile phases. The flat section fails closed like everything
+/// else: a damaged or undecodable flat unit, or a successful entry
+/// without one, rejects the whole entry to a miss (counted in
+/// LoadRejects) — there is no entry a hit cannot run.
 ///
 /// **Bounded growth.** Left alone the directory grows one file per
 /// distinct compile forever. A SweepConfig bounds it by total bytes
@@ -118,9 +118,9 @@ public:
   ~DiskCache();
 
   /// Loads and verifies the entry for \p K; null on miss or rejection.
-  /// A returned entry has FromDisk set and no Owner/Unit, but carries
-  /// the persisted static products plus, for successful compiles, the
-  /// decoded flat unit — so it is runnable without recompiling.
+  /// A returned entry has FromDisk set and otherwise the fields of a
+  /// fresh compile: the persisted products plus, for successful
+  /// compiles, the decoded flat unit — runnable without recompiling.
   CachedCompileRef load(const CacheKey &K) const;
 
   /// Persists \p V under \p K's hash, atomically. A no-op when the
@@ -153,9 +153,10 @@ public:
   /// Current serialisation version; bumped on any format change so old
   /// files fail closed to a miss instead of being misparsed. Version 2
   /// appended the embedded flat unit; version 3 added the Captures
-  /// option byte and the persisted capture report; v1/v2 files are
+  /// option byte and the persisted capture report; version 4 dropped
+  /// the persisted eviction cost (recomputed at load). Older files are
   /// version-rejected.
-  static constexpr uint32_t FormatVersion = 3;
+  static constexpr uint32_t FormatVersion = 4;
   /// First bytes of every entry file.
   static constexpr char Magic[8] = {'R', 'M', 'L', 'D', 'C', 'A', 'C', 'H'};
 

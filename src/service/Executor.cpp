@@ -30,8 +30,8 @@ namespace {
 
 /// ServiceConfig::PhaseBudgets as a PhaseGovernor: trips on the first
 /// executed phase whose wall time exceeds its (present) budget. Lives
-/// on the Executor's stack for exactly one compile — compileShared
-/// clears it from the frozen Compiler before returning.
+/// on the Executor's stack for exactly one compile — the Compiler that
+/// consults it dies inside compileShared.
 ///
 /// Doubles as the cost model's per-phase feed: keepGoing is the
 /// pipeline's exactly-once per-finished-phase observation stream (see
@@ -83,16 +83,6 @@ Response Executor::processImpl(const Request &Req) const {
 
   CacheKey Key = CacheKey::of(Req.Source, Req.Opts);
   CachedCompileRef CC = Cache.lookup(Key);
-  // Disk-tier entries normally carry the decoded flat unit and are as
-  // runnable as fresh compiles. An entry that lost its flat section
-  // (synthetic tests, future format drift) still answers compile/print/
-  // scheme traffic, but a Run request must hydrate by recompiling once
-  // below — counted, because the "hit" silently costs a whole compile —
-  // and the insert swaps the runnable entry into the memory tier.
-  if (CC && Req.Run && CC->ok() && !CC->runnable()) {
-    DiskHydrations.fetch_add(1, std::memory_order_relaxed);
-    CC = nullptr;
-  }
   if (CC) {
     Resp.CacheHit = true;
     // The static work was reused, not redone: report the phase shape
@@ -108,10 +98,10 @@ Response Executor::processImpl(const Request &Req) const {
       Resp.Profiles.push_back(std::move(P));
     }
   } else {
-    // Miss: compile on a fresh, dedicated Compiler and freeze it into
-    // the cache. Two workers racing on the same key both compile; the
-    // results are bit-identical (the pipeline is deterministic) and the
-    // cache keeps whichever insert lands last.
+    // Miss: compile on a fresh Compiler and cache the rendered entry.
+    // Two workers racing on the same key both compile; the results are
+    // bit-identical (the pipeline is deterministic) and the cache keeps
+    // whichever insert lands last.
     // Explicit budgets win; with --auto-budget and none set, the cost
     // model's observed per-phase distributions supply them — once it
     // has enough history (an empty derivation means "no budgets yet").

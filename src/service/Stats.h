@@ -73,11 +73,6 @@ struct ServiceStats {
   uint64_t DiskMisses = 0;
   uint64_t DiskWriteErrors = 0;
   uint64_t DiskLoadRejects = 0;
-  /// Run=true requests that hit a disk entry with no runnable flat unit
-  /// and silently recompiled (Executor's hydration fallback). Zero in
-  /// steady state — nonzero means warm restarts are paying for compiles
-  /// they thought they had cached.
-  uint64_t DiskHydrations = 0;
   /// Disk-sweeper counters (zero without --cache-max-bytes/--cache-max-age):
   /// entry files evicted by the retention policy, their summed bytes,
   /// and sweep passes or removals that failed.

@@ -100,9 +100,8 @@ TEST(DiskCacheTest, RoundTripIsByteIdentical) {
   ASSERT_NE(Loaded, nullptr);
   EXPECT_TRUE(Loaded->FromDisk);
   EXPECT_TRUE(Loaded->ok());
-  EXPECT_TRUE(Loaded->runnable()) << "the embedded flat unit runs directly";
-  EXPECT_EQ(Loaded->Unit, nullptr) << "no CompiledUnit is persisted";
-  ASSERT_NE(Loaded->Flat, nullptr);
+  ASSERT_NE(Loaded->Flat, nullptr) << "the embedded flat unit runs directly";
+  EXPECT_EQ(Loaded->run().ResultText, Fresh->run().ResultText);
   // The decoded flat unit re-encodes to exactly the bytes the fresh
   // compile's flat unit encodes to — the persisted runnable form is
   // byte-stable through a full store/load cycle.
@@ -113,6 +112,8 @@ TEST(DiskCacheTest, RoundTripIsByteIdentical) {
   EXPECT_EQ(Loaded->Diagnostics, Fresh->Diagnostics);
   EXPECT_EQ(Loaded->Schemes, Fresh->Schemes);
   EXPECT_EQ(Loaded->schemeOf("compose"), Fresh->schemeOf("compose"));
+  // The eviction cost is recomputed from the loaded fields, and they
+  // are the fresh entry's fields.
   EXPECT_EQ(Loaded->Cost, Fresh->Cost);
   // Phase names survive (as skipped profiles — the work was not redone).
   ASSERT_EQ(Loaded->Profiles.size(), Fresh->Profiles.size());
@@ -126,6 +127,33 @@ TEST(DiskCacheTest, RoundTripIsByteIdentical) {
   EXPECT_EQ(C.Misses, 0u);
   EXPECT_EQ(C.LoadRejects, 0u);
   EXPECT_EQ(C.WriteErrors, 0u);
+}
+
+TEST(DiskCacheTest, LoadedCostEqualsFreshCostUnderEveryOption) {
+  // Cost is the entry's retained bytes, computed by one function from
+  // fields both tiers share — so the memory tier weighs a promoted disk
+  // entry exactly as it weighed the fresh compile.
+  ScratchDir Dir("cost");
+  DiskCache Disk(Dir.str());
+  for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R})
+    for (bool Captures : {false, true}) {
+      SCOPED_TRACE(std::string(strategyName(Strat)) +
+                   (Captures ? "/captures" : ""));
+      CompileOptions Opts;
+      Opts.Strat = Strat;
+      Opts.Captures = Captures;
+      CacheKey K = CacheKey::of(ComposeProgram, Opts);
+      CachedCompileRef Fresh = compileShared(ComposeProgram, Opts);
+      ASSERT_TRUE(Fresh->ok());
+      EXPECT_EQ(Fresh->Cost, Fresh->retainedBytes());
+      // Bytes, not nodes: the flat unit alone is kilobytes.
+      EXPECT_GT(Fresh->Cost, Fresh->Flat->retainedBytes());
+      EXPECT_GT(Fresh->Flat->retainedBytes(), 1000u);
+      Disk.store(K, *Fresh);
+      CachedCompileRef Loaded = Disk.load(K);
+      ASSERT_NE(Loaded, nullptr);
+      EXPECT_EQ(Loaded->Cost, Fresh->Cost);
+    }
 }
 
 TEST(DiskCacheTest, FailedCompilePersistsItsDiagnostics) {
@@ -143,7 +171,8 @@ TEST(DiskCacheTest, FailedCompilePersistsItsDiagnostics) {
   CachedCompileRef Loaded = Disk.load(K);
   ASSERT_NE(Loaded, nullptr);
   EXPECT_FALSE(Loaded->ok()) << "the persisted verdict is the failure";
-  EXPECT_FALSE(Loaded->runnable());
+  EXPECT_EQ(Loaded->Flat, nullptr);
+  EXPECT_EQ(Loaded->Cost, Fresh->Cost);
   EXPECT_EQ(Loaded->Diagnostics, Fresh->Diagnostics);
 }
 
@@ -404,7 +433,7 @@ fun pick p = #1 p
 }
 
 TEST(DiskServiceTest, RunRequestExecutesStraightFromADiskEntry) {
-  ScratchDir Dir("hydrate");
+  ScratchDir Dir("run_from_disk");
 
   Request Static;
   Static.Source = ComposeProgram;
@@ -421,8 +450,7 @@ TEST(DiskServiceTest, RunRequestExecutesStraightFromADiskEntry) {
   ASSERT_EQ(Svc.stats().DiskHits, 1u);
 
   // ...and so is a Run request: the entry's embedded flat unit executes
-  // directly — a cache hit with zero compile phases, not a hydration
-  // recompile.
+  // directly — a cache hit with zero compile phases.
   Request Run;
   Run.Source = ComposeProgram;
   Run.EvalOpts.GcThresholdWords = 2048;
@@ -435,8 +463,8 @@ TEST(DiskServiceTest, RunRequestExecutesStraightFromADiskEntry) {
     if (P.Name != Compiler::RunPhaseName)
       EXPECT_TRUE(P.Skipped) << P.Name << " ran on a disk hit";
   }
-  EXPECT_EQ(Svc.stats().DiskHydrations, 0u)
-      << "no silent recompile happened";
+  EXPECT_EQ(Svc.stats().CacheMisses, 1u)
+      << "only the first static request missed the memory tier";
 
   Response Second = Svc.submit(Run).get();
   EXPECT_EQ(Second.Status, RequestOutcome::Ok);

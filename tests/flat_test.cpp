@@ -4,19 +4,20 @@
 // path: serialisation round trips are byte-identical, every manufactured
 // corruption — truncation at each prefix, every single-bit flip, random
 // garbage, out-of-range indices — fails closed to a null decode, the
-// disk tier counts a damaged flat section as a load rejection, a warm
-// service restart executes Run=true straight from disk with zero compile
-// phases, and the Executor's hydration fallback (an ok disk hit with no
-// runnable form) is counted instead of silent. Labelled `flat` in ctest
-// and expected to be clean under -DRML_SANITIZE=thread.
+// disk tier counts a damaged or missing flat section and an old-format
+// entry as load rejections, a decoded unit runs exactly like the
+// in-memory one, and a warm service restart executes Run=true straight
+// from disk with zero compile phases. Labelled `flat` in ctest and
+// expected to be clean under -DRML_SANITIZE=thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "flat/Flat.h"
 
+#include "RunRow.h"
+
 #include "core/Pipeline.h"
 #include "service/DiskCache.h"
-#include "service/Executor.h"
 #include "service/Service.h"
 
 #include <gtest/gtest.h>
@@ -130,7 +131,9 @@ TEST(FlatEncoding, StrategiesEncodeDifferently) {
             flatBytesOf(RichProgram, Strategy::RgMinus));
 }
 
-TEST(FlatEncoding, DecodedUnitRunsLikeTheTree) {
+TEST(FlatEncoding, DecodedUnitRunsLikeTheInMemoryUnit) {
+  // The disk tier runs decodeFlat(encodeFlat(U)); it must observe
+  // exactly what the compile's own unit does, down to heap accounting.
   for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
     SCOPED_TRACE(strategyName(Strat));
     Compiler C;
@@ -141,41 +144,35 @@ TEST(FlatEncoding, DecodedUnitRunsLikeTheTree) {
 
     rt::EvalOptions E;
     E.GcThresholdWords = 512;
-    rt::RunResult Tree = C.run(*Unit, E);
-    ASSERT_EQ(Tree.Outcome, rt::RunOutcome::Ok) << Tree.Error;
+    rt::RunResult InMemory = C.run(*Unit, E);
+    ASSERT_EQ(InMemory.Outcome, rt::RunOutcome::Ok) << InMemory.Error;
 
     std::shared_ptr<const flat::FlatUnit> Decoded =
         flat::decodeFlat(flat::encodeFlat(*Unit->Flat));
     ASSERT_NE(Decoded, nullptr);
-    rt::RunResult Flat = Compiler::runFlat(*Decoded, E);
-    EXPECT_EQ(Flat.Outcome, Tree.Outcome);
-    EXPECT_EQ(Flat.Output, Tree.Output);
-    EXPECT_EQ(Flat.ResultText, Tree.ResultText);
-    EXPECT_EQ(Flat.Steps, Tree.Steps);
-    EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords);
-    EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount);
-    EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords);
-    EXPECT_EQ(Flat.Heap.RegionsCreated, Tree.Heap.RegionsCreated);
+    rt::RunResult FromBytes = Compiler::runFlat(*Decoded, E);
+    EXPECT_EQ(test::runRow(FromBytes), test::runRow(InMemory));
     // runFlat reports the same "run" phase profile shape as run().
-    EXPECT_EQ(Flat.Phase.Name, Compiler::RunPhaseName);
-    EXPECT_EQ(Flat.Phase.GcCount, Flat.Heap.GcCount);
+    EXPECT_EQ(FromBytes.Phase.Name, Compiler::RunPhaseName);
+    EXPECT_EQ(FromBytes.Phase.GcCount, FromBytes.Heap.GcCount);
   }
 }
 
-TEST(FlatEncoding, UncaughtExceptionAgreesBetweenTreeAndFlat) {
+TEST(FlatEncoding, UncaughtExceptionSurvivesTheRoundTrip) {
   const char *Raises =
       "exception Boom of int\n;if 1 < 2 then raise Boom 9 else 0";
   Compiler C;
   auto Unit = C.compile(Raises);
   ASSERT_NE(Unit, nullptr) << C.diagnostics().str();
-  rt::RunResult Tree = C.run(*Unit);
-  ASSERT_EQ(Tree.Outcome, rt::RunOutcome::UncaughtException);
+  rt::RunResult InMemory = C.run(*Unit);
+  ASSERT_EQ(InMemory.Outcome, rt::RunOutcome::UncaughtException);
+  EXPECT_EQ(InMemory.Error, "uncaught exception Boom");
   std::shared_ptr<const flat::FlatUnit> Decoded =
       flat::decodeFlat(flat::encodeFlat(*Unit->Flat));
   ASSERT_NE(Decoded, nullptr);
-  rt::RunResult Flat = Compiler::runFlat(*Decoded);
-  EXPECT_EQ(Flat.Outcome, Tree.Outcome);
-  EXPECT_EQ(Flat.Error, Tree.Error) << "exception names survive the trip";
+  rt::RunResult FromBytes = Compiler::runFlat(*Decoded);
+  EXPECT_EQ(test::runRow(FromBytes), test::runRow(InMemory))
+      << "exception names survive the trip";
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,6 +296,13 @@ TEST(FlatCorruption, StructurallyInvalidUnitsRejectAtDecode) {
 // The disk tier: damaged flat sections are counted misses
 //===----------------------------------------------------------------------===//
 
+/// The byte offset of the flat-presence byte in \p Fresh's entry file:
+/// it sits right before the nested flat string (u64 length + bytes),
+/// which ends the file.
+size_t presencePos(const std::string &EntryBytes, const CachedCompile &Fresh) {
+  return EntryBytes.size() - flat::encodeFlat(*Fresh.Flat).size() - 8 - 1;
+}
+
 CachedCompileRef storeOne(DiskCache &Disk, const CacheKey &K,
                           const char *Src) {
   CachedCompileRef Fresh = compileShared(Src, CompileOptions{});
@@ -354,8 +358,7 @@ TEST(FlatDisk, ForgedPresenceByteIsACountedLoadReject) {
   // string) to an undefined value; the loader accepts exactly 0 or 1.
   fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
   std::string Bytes = readFileBytes(File);
-  std::string FlatBytes = flat::encodeFlat(*Fresh->Flat);
-  size_t PresencePos = Bytes.size() - FlatBytes.size() - 8 - 1;
+  size_t PresencePos = presencePos(Bytes, *Fresh);
   ASSERT_EQ(static_cast<unsigned char>(Bytes[PresencePos]), 1u);
   Bytes[PresencePos] = 2;
   writeFileBytes(File, Bytes);
@@ -414,7 +417,6 @@ TEST(FlatService, WarmRestartRunsFromDiskWithZeroCompilePhases) {
 
   ServiceStats S = Svc.stats();
   EXPECT_EQ(S.DiskHits, 1u);
-  EXPECT_EQ(S.DiskHydrations, 0u) << "no silent recompile";
   EXPECT_EQ(S.DiskLoadRejects, 0u);
   EXPECT_EQ(S.CacheMisses, 1u) << "one memory miss, promoted from disk";
 }
@@ -443,48 +445,64 @@ TEST(FlatService, WarmRestartRunsUnderEveryStrategy) {
 }
 
 //===----------------------------------------------------------------------===//
-// The hydration fallback is counted, not silent
+// Every hit is runnable: entries that could not run never load
 //===----------------------------------------------------------------------===//
 
-TEST(FlatExecutor, UnrunnableDiskHitCountsAHydration) {
-  ServiceConfig Cfg;
-  Cfg.CacheCapacity = 8;
-  CompileCache Cache(Cfg.CacheCapacity);
-  Executor Exec(Cfg, Cache, nullptr);
+TEST(FlatDisk, OkEntryWithoutFlatSectionIsACountedLoadReject) {
+  ScratchDir Dir("no_flat");
+  CacheKey K = CacheKey::of(SmallProgram, CompileOptions{});
+  {
+    DiskCache Disk(Dir.str());
+    CachedCompileRef Fresh = storeOne(Disk, K, SmallProgram);
+    // Cut the flat section off an ok entry: presence 0, nothing after.
+    // Structurally whole, but a hit on it could not serve a run.
+    fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+    std::string Bytes = readFileBytes(File);
+    size_t Pos = presencePos(Bytes, *Fresh);
+    ASSERT_EQ(static_cast<unsigned char>(Bytes[Pos]), 1u);
+    writeFileBytes(File, Bytes.substr(0, Pos) + std::string(1, '\0'));
 
-  // A synthetic ok disk entry with no runnable form — the shape a
-  // future-format (or hand-damaged) entry would load as if the flat
-  // section were optional. runnable() is false.
-  Request Req;
-  Req.Source = SmallProgram;
-  CacheKey K = CacheKey::of(Req.Source, Req.Opts);
-  auto Stale = std::make_shared<CachedCompile>();
-  Stale->Ok = true;
-  Stale->FromDisk = true;
-  Stale->Printed = "stale";
-  Cache.insert(K, Stale);
-  ASSERT_FALSE(Stale->runnable());
+    EXPECT_EQ(Disk.load(K), nullptr);
+    EXPECT_EQ(Disk.counters().LoadRejects, 1u);
+    EXPECT_EQ(Disk.counters().Hits, 0u);
+  }
 
-  // Static traffic is served from the entry without hydrating...
-  Request Static = Req;
-  Static.Run = false;
-  Response StaticResp = Exec.process(Static);
-  EXPECT_TRUE(StaticResp.CacheHit);
-  EXPECT_EQ(Exec.diskHydrations(), 0u);
+  // Through the service the rejection is an ordinary miss: the Run
+  // request compiles afresh and the rejection shows in the stats.
+  Service Svc(flatServiceConfig(Dir.str()));
+  Request Run;
+  Run.Source = SmallProgram;
+  Response R = Svc.submit(Run).get();
+  ASSERT_EQ(R.Status, RequestOutcome::Ok) << R.Error;
+  EXPECT_FALSE(R.CacheHit);
+  EXPECT_EQ(R.ResultText, "3");
+  ServiceStats S = Svc.stats();
+  EXPECT_EQ(S.DiskLoadRejects, 1u);
+  EXPECT_EQ(S.DiskHits, 0u);
+  EXPECT_NE(S.json().find("\"disk_load_rejects\":1"),
+            std::string::npos);
+}
 
-  // ...but Run=true must recompile once, and the fallback is counted.
-  Response First = Exec.process(Req);
-  EXPECT_EQ(First.Status, RequestOutcome::Ok) << First.Error;
-  EXPECT_FALSE(First.CacheHit) << "hydration is a real compile";
-  EXPECT_EQ(First.ResultText, "3");
-  EXPECT_EQ(Exec.diskHydrations(), 1u);
+TEST(FlatDisk, VersionThreeEntryIsACountedLoadReject) {
+  ScratchDir Dir("v3");
+  DiskCache Disk(Dir.str());
+  CacheKey K = CacheKey::of(SmallProgram, CompileOptions{});
+  CachedCompileRef Fresh = storeOne(Disk, K, SmallProgram);
 
-  // The recompiled entry replaced the stale one: no second hydration.
-  Response Second = Exec.process(Req);
-  EXPECT_EQ(Second.Status, RequestOutcome::Ok);
-  EXPECT_TRUE(Second.CacheHit);
-  EXPECT_EQ(Second.ResultText, "3");
-  EXPECT_EQ(Exec.diskHydrations(), 1u);
+  // Forge the v3 layout: the same fields plus the persisted u64 cost
+  // that v4 dropped (it sat right before the flat-presence byte), and
+  // the version field (the u32 after the 8-byte magic) set to 3.
+  ASSERT_EQ(DiskCache::FormatVersion, 4u);
+  fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+  std::string Bytes = readFileBytes(File);
+  size_t Pos = presencePos(Bytes, *Fresh);
+  Bytes.insert(Pos, std::string("\x10\x27\0\0\0\0\0\0", 8));
+  Bytes[8] = 3;
+  writeFileBytes(File, Bytes);
+
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 1u);
+  EXPECT_EQ(Disk.counters().Hits, 0u);
 }
 
 } // namespace

@@ -5,11 +5,14 @@
 // moves the threshold and major cadence from pause survival within the
 // documented bounds, and — the property the service banks on — an
 // adaptive run never changes what a program computes, only when its
-// collector runs. Labelled `mem` in ctest and part of the TSan gate.
+// collector runs; a unit and its serialised copy make identical
+// decisions. Labelled `mem` in ctest and part of the TSan gate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "rt/GcPolicy.h"
+
+#include "RunRow.h"
 
 #include "bench/Programs.h"
 #include "core/Pipeline.h"
@@ -192,35 +195,33 @@ TEST(GcPolicyTest, AdaptiveRunsMatchStaticRunsOnEveryObservable) {
   }
 }
 
-TEST(GcPolicyTest, TreeAndFlatMakeIdenticalAdaptiveDecisions) {
-  // The adaptive rules consume only allocation word counts, which the
-  // two walkers produce identically by construction — so tree and flat
-  // must agree not just on results but on every policy decision.
+/// The unit the disk tier would run: \p Unit's flat form, serialised
+/// and decoded.
+std::shared_ptr<const flat::FlatUnit> decodedCopy(const CompiledUnit &Unit) {
+  return flat::decodeFlat(flat::encodeFlat(*Unit.Flat));
+}
+
+TEST(GcPolicyTest, InMemoryAndDecodedMakeIdenticalAdaptiveDecisions) {
+  // The adaptive rules consume only allocation word counts, which a
+  // unit and its serialised copy produce identically — so the two must
+  // agree not just on results but on every policy decision.
   Compiler C;
   for (const bench::BenchProgram &P : bench::benchmarkSuite()) {
     auto Unit = C.compile(P.Source);
     ASSERT_NE(Unit, nullptr) << P.Name << ": " << C.diagnostics().str();
-    ASSERT_NE(Unit->Flat, nullptr) << P.Name;
+    std::shared_ptr<const flat::FlatUnit> Decoded = decodedCopy(*Unit);
+    ASSERT_NE(Decoded, nullptr) << P.Name;
 
     EvalOptions E;
     E.GcThresholdWords = 2048;
     E.AdaptiveGc = true;
-    RunResult Tree = C.run(*Unit, E);
-    RunResult Flat = Compiler::runFlat(*Unit->Flat, E);
-    ASSERT_EQ(Tree.Outcome, RunOutcome::Ok) << P.Name << ": " << Tree.Error;
-    ASSERT_EQ(Flat.Outcome, RunOutcome::Ok) << P.Name << ": " << Flat.Error;
-
-    EXPECT_EQ(Flat.ResultText, Tree.ResultText) << P.Name;
-    EXPECT_EQ(Flat.Output, Tree.Output) << P.Name;
-    EXPECT_EQ(Flat.Steps, Tree.Steps) << P.Name;
-    EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords) << P.Name;
-    EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount) << P.Name;
-    EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords) << P.Name;
-    EXPECT_EQ(Flat.Policy.ThresholdRaises, Tree.Policy.ThresholdRaises)
-        << P.Name;
-    EXPECT_EQ(Flat.Policy.ThresholdDrops, Tree.Policy.ThresholdDrops)
-        << P.Name;
-    EXPECT_EQ(Flat.Policy.FinalThresholdWords, Tree.Policy.FinalThresholdWords)
+    RunResult InMemory = C.run(*Unit, E);
+    RunResult FromBytes = Compiler::runFlat(*Decoded, E);
+    ASSERT_EQ(InMemory.Outcome, RunOutcome::Ok)
+        << P.Name << ": " << InMemory.Error;
+    EXPECT_EQ(test::runRow(FromBytes), test::runRow(InMemory)) << P.Name;
+    EXPECT_EQ(FromBytes.Policy.FinalMinorsPerMajor,
+              InMemory.Policy.FinalMinorsPerMajor)
         << P.Name;
   }
 }
@@ -242,19 +243,21 @@ TEST(GcPolicyTest, AdaptiveGenerationalRunsStayDifferentiallyClean) {
 
   EvalOptions Adaptive = Static;
   Adaptive.AdaptiveGc = true;
-  RunResult Tree = C.run(*Unit, Adaptive);
-  RunResult Flat = Compiler::runFlat(*Unit->Flat, Adaptive);
-  ASSERT_EQ(Tree.Outcome, RunOutcome::Ok) << Tree.Error;
-  ASSERT_EQ(Flat.Outcome, RunOutcome::Ok) << Flat.Error;
+  RunResult InMemory = C.run(*Unit, Adaptive);
+  std::shared_ptr<const flat::FlatUnit> Decoded = decodedCopy(*Unit);
+  ASSERT_NE(Decoded, nullptr);
+  RunResult FromBytes = Compiler::runFlat(*Decoded, Adaptive);
+  ASSERT_EQ(InMemory.Outcome, RunOutcome::Ok) << InMemory.Error;
 
-  EXPECT_EQ(Tree.ResultText, Base.ResultText);
-  EXPECT_EQ(Tree.Output, Base.Output);
-  EXPECT_EQ(Tree.Steps, Base.Steps);
-  EXPECT_EQ(Tree.Heap.AllocWords, Base.Heap.AllocWords);
-  // Tree and flat agree on the full generational decision stream.
-  EXPECT_EQ(Flat.Heap.MinorGcCount, Tree.Heap.MinorGcCount);
-  EXPECT_EQ(Flat.Heap.MajorGcCount, Tree.Heap.MajorGcCount);
-  EXPECT_EQ(Flat.Policy.FinalMinorsPerMajor, Tree.Policy.FinalMinorsPerMajor);
+  EXPECT_EQ(InMemory.ResultText, Base.ResultText);
+  EXPECT_EQ(InMemory.Output, Base.Output);
+  EXPECT_EQ(InMemory.Steps, Base.Steps);
+  EXPECT_EQ(InMemory.Heap.AllocWords, Base.Heap.AllocWords);
+  // The unit and its serialised copy agree on the full generational
+  // decision stream.
+  EXPECT_EQ(test::runRow(FromBytes), test::runRow(InMemory));
+  EXPECT_EQ(FromBytes.Policy.FinalMinorsPerMajor,
+            InMemory.Policy.FinalMinorsPerMajor);
 }
 
 TEST(GcPolicyTest, PauseBudgetBacksCollectionFrequencyOff) {

@@ -2,12 +2,14 @@
 //
 // The example programs under examples/programs/ keep working: the
 // tutorial and primes run clean under rg, and figure1.mml reproduces the
-// paper's crash under rg-. The differential suite at the bottom runs
-// every shipped .mml under rg and rg-, each with the cross-request page
-// pool on and off, and demands the four configurations agree on every
-// observable.
+// paper's crash under rg-. The differential suites run every shipped
+// .mml with the cross-request page pool on and off, and in memory
+// against its serialised flat copy, and demand the configurations agree
+// on every observable.
 //
 //===----------------------------------------------------------------------===//
+
+#include "RunRow.h"
 
 #include "core/Pipeline.h"
 #include "rt/PagePool.h"
@@ -140,15 +142,16 @@ TEST(MmlFiles, EveryProgramAgreesWithAndWithoutThePool) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: the tree walk vs the flat interpreter, every shipped
+// Differential: the in-memory unit vs its serialised copy, every shipped
 // program under every strategy. Two fresh Compilers per configuration —
-// one runs the tree, one encodes/decodes and runs the flat unit — so
-// the comparison also covers compile-side determinism (diagnostics and
-// spurious statistics), the serialisation round trip, and the full
-// runtime observables down to heap accounting.
+// one runs its own unit, the other's unit is encoded, decoded and run
+// the way the disk tier runs it — so the comparison also covers
+// compile-side determinism (diagnostics and spurious statistics), the
+// serialisation round trip, and the full runtime observables down to
+// heap accounting.
 //===----------------------------------------------------------------------===//
 
-TEST(MmlFiles, EveryProgramAgreesBetweenTreeAndFlat) {
+TEST(MmlFiles, EveryProgramAgreesBetweenInMemoryAndDecoded) {
   std::vector<std::string> Files;
   for (const auto &Entry : std::filesystem::directory_iterator(
            std::string(RML_SOURCE_DIR) + "/examples/programs"))
@@ -165,54 +168,37 @@ TEST(MmlFiles, EveryProgramAgreesBetweenTreeAndFlat) {
       CompileOptions Opts;
       Opts.Strat = Strat;
 
-      Compiler TreeC;
-      auto TreeU = TreeC.compile(Src, Opts);
-      ASSERT_NE(TreeU, nullptr) << TreeC.diagnostics().str();
+      Compiler MemC;
+      auto MemU = MemC.compile(Src, Opts);
+      ASSERT_NE(MemU, nullptr) << MemC.diagnostics().str();
 
-      Compiler FlatC;
-      auto FlatU = FlatC.compile(Src, Opts);
-      ASSERT_NE(FlatU, nullptr) << FlatC.diagnostics().str();
+      Compiler DiskC;
+      auto DiskU = DiskC.compile(Src, Opts);
+      ASSERT_NE(DiskU, nullptr) << DiskC.diagnostics().str();
 
       // Compile-side determinism across independent Compilers.
-      EXPECT_EQ(FlatC.diagnostics().str(), TreeC.diagnostics().str());
-      EXPECT_EQ(FlatU->Spurious.TotalFunctions,
-                TreeU->Spurious.TotalFunctions);
-      EXPECT_EQ(FlatU->Spurious.SpuriousFunctions,
-                TreeU->Spurious.SpuriousFunctions);
-      EXPECT_EQ(FlatU->Spurious.TotalInsts, TreeU->Spurious.TotalInsts);
-      EXPECT_EQ(FlatU->Spurious.SpuriousBoxedInsts,
-                TreeU->Spurious.SpuriousBoxedInsts);
+      EXPECT_EQ(DiskC.diagnostics().str(), MemC.diagnostics().str());
+      EXPECT_EQ(DiskU->Spurious.TotalFunctions, MemU->Spurious.TotalFunctions);
+      EXPECT_EQ(DiskU->Spurious.SpuriousFunctions,
+                MemU->Spurious.SpuriousFunctions);
+      EXPECT_EQ(DiskU->Spurious.TotalInsts, MemU->Spurious.TotalInsts);
+      EXPECT_EQ(DiskU->Spurious.SpuriousBoxedInsts,
+                MemU->Spurious.SpuriousBoxedInsts);
       // Both flattenings encode to the same bytes (determinism), and the
-      // decoded copy is what actually executes below — exactly the
-      // disk-tier path.
-      ASSERT_NE(TreeU->Flat, nullptr);
-      ASSERT_NE(FlatU->Flat, nullptr);
-      std::string Bytes = flat::encodeFlat(*FlatU->Flat);
-      EXPECT_EQ(flat::encodeFlat(*TreeU->Flat), Bytes);
+      // decoded copy is what executes below — exactly the disk-tier path.
+      ASSERT_NE(MemU->Flat, nullptr);
+      ASSERT_NE(DiskU->Flat, nullptr);
+      std::string Bytes = flat::encodeFlat(*DiskU->Flat);
+      EXPECT_EQ(flat::encodeFlat(*MemU->Flat), Bytes);
       std::shared_ptr<const flat::FlatUnit> Decoded = flat::decodeFlat(Bytes);
       ASSERT_NE(Decoded, nullptr);
 
       rt::EvalOptions E;
       E.GcThresholdWords = 2048;
       E.RetainReleasedPages = true; // exact dangling detection for rg-
-      rt::RunResult Tree = TreeC.run(*TreeU, E);
-      rt::RunResult Flat = Compiler::runFlat(*Decoded, E);
-      EXPECT_EQ(Flat.Outcome, Tree.Outcome) << Tree.Error << Flat.Error;
-      EXPECT_EQ(Flat.Error, Tree.Error);
-      EXPECT_EQ(Flat.Output, Tree.Output);
-      EXPECT_EQ(Flat.ResultText, Tree.ResultText);
-      EXPECT_EQ(Flat.Steps, Tree.Steps);
-      EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords);
-      EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount);
-      EXPECT_EQ(Flat.Heap.MinorGcCount, Tree.Heap.MinorGcCount);
-      EXPECT_EQ(Flat.Heap.MajorGcCount, Tree.Heap.MajorGcCount);
-      EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords);
-      EXPECT_EQ(Flat.Heap.RegionsCreated, Tree.Heap.RegionsCreated);
-      EXPECT_EQ(Flat.Heap.FiniteRegionsCreated,
-                Tree.Heap.FiniteRegionsCreated);
-      EXPECT_EQ(Flat.Heap.PagesAllocated, Tree.Heap.PagesAllocated);
-      EXPECT_EQ(Flat.Heap.PeakHeapWords, Tree.Heap.PeakHeapWords);
-      EXPECT_EQ(Flat.GcPauses.size(), Tree.GcPauses.size());
+      rt::RunResult InMemory = MemC.run(*MemU, E);
+      rt::RunResult FromBytes = Compiler::runFlat(*Decoded, E);
+      EXPECT_EQ(test::runRow(FromBytes), test::runRow(InMemory));
     }
   }
 }

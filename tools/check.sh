@@ -15,10 +15,10 @@
 #      warm-restart execute-from-disk service tests), the learned
 #      cost model (prediction/EWMA/budget units plus a multi-threaded
 #      coherence check), the memory system (GcPolicy units plus
-#      the adaptive-vs-static and tree-vs-flat differentials), and the
-#      capture-tracking analysis (report byte-identity across cache
-#      tiers and process restarts, the CaptureQuery wire kind, and the
-#      disk-format version gate).
+#      the adaptive-vs-static and in-memory-vs-decoded differentials),
+#      and the capture-tracking analysis (report byte-identity across
+#      cache tiers and process restarts, the CaptureQuery wire kind,
+#      and the disk-format version gate).
 #
 # Usage: tools/check.sh            # from anywhere inside the repo
 #
