@@ -12,13 +12,18 @@
 // memory, spurious functions rare, diff only with spurious functions —
 // is the reproduced claim. See EXPERIMENTS.md.
 //
-// Usage: bench_fig9 [--reps N] [--bench NAME] [--csv]
+// Usage: bench_fig9 [--reps N] [--bench NAME] [--csv] [--json PATH]
+//
+// --json PATH also writes, per program and strategy, the median run
+// time with its quartiles over the reps (at least 5), the step count
+// and ns per step — the layout of BENCH_eval.json.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Programs.h"
 #include "core/Pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -55,8 +60,10 @@ void signature(const RExpr *E, std::string &Out) {
 struct Measurement {
   double MeanMs = 0;
   double RelStddev = 0; // percent
+  std::vector<double> SortedMs; // every rep's run time, ascending
   uint64_t PeakBytes = 0;
   uint64_t GcCount = 0;
+  uint64_t Steps = 0;
   bool Ok = false;
   std::string Error;
 };
@@ -84,7 +91,10 @@ Measurement measure(const std::string &Source, Strategy S, unsigned Reps) {
         std::chrono::duration<double, std::milli>(T1 - T0).count());
     M.PeakBytes = R.Heap.peakBytes();
     M.GcCount = R.Heap.GcCount;
+    M.Steps = R.Steps;
   }
+  M.SortedMs = Times;
+  std::sort(M.SortedMs.begin(), M.SortedMs.end());
   double Sum = 0;
   for (double T : Times)
     Sum += T;
@@ -99,12 +109,38 @@ Measurement measure(const std::string &Source, Strategy S, unsigned Reps) {
   return M;
 }
 
+/// The value at quantile \p Q of an ascending sample (linear
+/// interpolation between the two nearest ranks).
+double quantile(const std::vector<double> &Sorted, double Q) {
+  double Pos = Q * static_cast<double>(Sorted.size() - 1);
+  size_t Lo = static_cast<size_t>(Pos);
+  size_t Hi = std::min(Lo + 1, Sorted.size() - 1);
+  return Sorted[Lo] + (Sorted[Hi] - Sorted[Lo]) * (Pos - static_cast<double>(Lo));
+}
+
+/// One BENCH_eval.json row.
+std::string jsonRow(const std::string &Program, const char *Strat,
+                    const Measurement &M) {
+  double Median = quantile(M.SortedMs, 0.5);
+  char Buf[320];
+  std::snprintf(Buf, sizeof(Buf),
+                "{\"program\":\"%s\",\"strategy\":\"%s\",\"median_ms\":%.4f,"
+                "\"q1_ms\":%.4f,\"q3_ms\":%.4f,\"steps\":%llu,"
+                "\"ns_per_step\":%.3f}",
+                Program.c_str(), Strat, Median, quantile(M.SortedMs, 0.25),
+                quantile(M.SortedMs, 0.75),
+                static_cast<unsigned long long>(M.Steps),
+                M.Steps ? Median * 1e6 / static_cast<double>(M.Steps) : 0.0);
+  return Buf;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   unsigned Reps = 5;
   std::string Only;
   bool Csv = false;
+  const char *JsonPath = nullptr;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--reps") && I + 1 < Argc)
       Reps = static_cast<unsigned>(std::atoi(Argv[++I]));
@@ -112,7 +148,15 @@ int main(int Argc, char **Argv) {
       Only = Argv[++I];
     else if (!std::strcmp(Argv[I], "--csv"))
       Csv = true;
+    else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
+      JsonPath = Argv[++I];
   }
+  if (Reps == 0 || (JsonPath && Reps < 5)) {
+    std::fprintf(stderr, "bench_fig9: --reps must be >= 1 (>= 5 with "
+                         "--json)\n");
+    return 2;
+  }
+  std::vector<std::string> JsonRows;
 
   if (Csv)
     std::printf("program,loc,spurious_fcns,total_fcns,spurious_boxed_insts,"
@@ -183,6 +227,10 @@ int main(int Argc, char **Argv) {
       return std::string(Buf);
     };
 
+    for (auto [Strat, M] : {std::pair{"rg", &MRg}, std::pair{"rg-", &MRgm},
+                            std::pair{"r", &MR}})
+      JsonRows.push_back(jsonRow(P.Name, Strat, *M));
+
     if (Csv) {
       std::printf("%s,%u,%u,%u,%u,%u,%d,%.3f,%.3f,%.3f,%llu,%llu,%llu,"
                   "%llu,%llu\n",
@@ -205,6 +253,20 @@ int main(int Argc, char **Argv) {
         Kb(MRgm.PeakBytes).c_str(), Kb(MR.PeakBytes).c_str(),
         static_cast<unsigned long long>(MRg.GcCount),
         static_cast<unsigned long long>(MRgm.GcCount));
+  }
+
+  if (JsonPath) {
+    std::FILE *Out = std::fopen(JsonPath, "w");
+    if (!Out) {
+      std::fprintf(stderr, "bench_fig9: cannot write %s\n", JsonPath);
+      return 1;
+    }
+    std::fprintf(Out, "{\"reps\":%u,\"rows\":[\n", Reps);
+    for (size_t I = 0; I < JsonRows.size(); ++I)
+      std::fprintf(Out, "  %s%s\n", JsonRows[I].c_str(),
+                   I + 1 < JsonRows.size() ? "," : "");
+    std::fprintf(Out, "]}\n");
+    std::fclose(Out);
   }
   return 0;
 }

@@ -30,8 +30,256 @@ size_t FlatUnit::retainedBytes() const {
     return V.size() * sizeof(typename std::decay_t<decltype(V)>::value_type);
   };
   return sizeof(FlatUnit) + Bytes(Nodes) + Bytes(Fns) + Bytes(Caps) +
-         Bytes(Aux) + Bytes(Mus) + Bytes(Taus) + Bytes(Regions) +
+         Bytes(Aux) + Bytes(AuxSlots) + Bytes(Mus) + Bytes(Taus) + Bytes(Regions) +
          Bytes(ExnNames) + StringBlob.size() + Bytes(StringSpans);
+}
+
+//===----------------------------------------------------------------------===//
+// Frame resolution
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A stack of bindings (variable names or region static ids) with an
+/// O(1) innermost-binding lookup: Top maps a key to the stack position
+/// of its innermost binding (NoIndex once unbound), and each push saves
+/// the position it shadows. NoIndex keys occupy a slot without being
+/// findable.
+class Bindings {
+public:
+  uint32_t size() const { return static_cast<uint32_t>(Keys.size()); }
+
+  void push(uint32_t Key) {
+    Saved.push_back(Key == NoIndex ? NoIndex : top(Key));
+    if (Key != NoIndex)
+      Top[Key] = size();
+    Keys.push_back(Key);
+  }
+
+  void pop() {
+    if (Keys.back() != NoIndex)
+      Top[Keys.back()] = Saved.back();
+    Keys.pop_back();
+    Saved.pop_back();
+  }
+
+  /// Slot of \p Key's innermost binding in the frame starting at
+  /// \p Base, or NoIndex when the frame does not bind it.
+  uint32_t slot(uint32_t Key, uint32_t Base) const {
+    uint32_t P = top(Key);
+    return P == NoIndex || P < Base ? NoIndex : P - Base;
+  }
+
+private:
+  uint32_t top(uint32_t Key) const {
+    auto It = Top.find(Key);
+    return It == Top.end() ? NoIndex : It->second;
+  }
+
+  std::unordered_map<uint32_t, uint32_t> Top;
+  std::vector<uint32_t> Keys, Saved;
+};
+
+/// The resolution walk. An explicit task stack replaces recursion, so
+/// a deep (or hostile) unit cannot exhaust the native stack.
+class FrameResolver {
+public:
+  explicit FrameResolver(FlatUnit &U)
+      : U(U), NodeSeen(U.Nodes.size()), FnSeen(U.Fns.size()),
+        AuxSeen(U.Aux.size()) {}
+
+  bool run() {
+    U.AuxSlots.assign(U.Aux.size(), NoIndex);
+    for (FlatNode &N : U.Nodes)
+      N.Slot = NoIndex;
+    visit(U.Root);
+    while (!Tasks.empty()) {
+      Task T = Tasks.back();
+      Tasks.pop_back();
+      switch (T.K) {
+      case Task::Visit:
+        step(T.X);
+        break;
+      case Task::PushVar:
+        Vars.push(T.X);
+        break;
+      case Task::PopVars:
+        for (uint32_t I = 0; I < T.X; ++I)
+          Vars.pop();
+        break;
+      case Task::PopRhos:
+        for (uint32_t I = 0; I < T.X; ++I)
+          Rhos.pop();
+        break;
+      case Task::LeaveFrame:
+        VarBase = T.X;
+        RhoBase = T.Y;
+        break;
+      }
+    }
+    return Ok;
+  }
+
+private:
+  struct Task {
+    enum Kind : uint8_t { Visit, PushVar, PopVars, PopRhos, LeaveFrame } K;
+    uint32_t X = 0, Y = 0;
+  };
+
+  void visit(uint32_t Node) {
+    if (Node != NoIndex)
+      Tasks.push_back({Task::Visit, Node});
+  }
+
+  uint32_t var(uint32_t Name) {
+    uint32_t S = Name == NoIndex ? NoIndex : Vars.slot(Name, VarBase);
+    Ok &= S != NoIndex;
+    return S;
+  }
+
+  uint32_t rho(uint32_t StaticId) {
+    if (StaticId == 0)
+      return GlobalRegionSlot;
+    uint32_t S = StaticId == NoIndex ? NoIndex : Rhos.slot(StaticId, RhoBase);
+    Ok &= S != NoIndex;
+    return S;
+  }
+
+  /// Each Aux entry belongs to one reference, resolved once.
+  void setAux(uint32_t I, uint32_t Slot) {
+    Ok &= !AuxSeen[I];
+    AuxSeen[I] = true;
+    U.AuxSlots[I] = Slot;
+  }
+
+  void step(uint32_t Idx) {
+    if (NodeSeen[Idx]) { // a second parent: not a tree
+      Ok = false;
+      return;
+    }
+    NodeSeen[Idx] = true;
+    FlatNode &N = U.Nodes[Idx];
+    switch (static_cast<RExpr::Kind>(N.Kind)) {
+    case RExpr::Kind::Var:
+      N.Slot = var(N.Name);
+      return;
+    case RExpr::Kind::Lam:
+    case RExpr::Kind::FunBind:
+      enterFn(N);
+      return;
+    case RExpr::Kind::Let:
+      Tasks.push_back({Task::PopVars, 1});
+      visit(N.B);
+      Tasks.push_back({Task::PushVar, N.Name});
+      visit(N.A);
+      return;
+    case RExpr::Kind::ListCase:
+      Tasks.push_back({Task::PopVars, 2});
+      visit(N.C);
+      Tasks.push_back({Task::PushVar, N.TailName});
+      Tasks.push_back({Task::PushVar, N.HeadName});
+      visit(N.B);
+      visit(N.A);
+      return;
+    case RExpr::Kind::Handle:
+      // The evaluator binds the handler argument only when there is a
+      // binder name.
+      if (N.BindName != NoIndex) {
+        Tasks.push_back({Task::PopVars, 1});
+        visit(N.B);
+        Tasks.push_back({Task::PushVar, N.BindName});
+      } else {
+        visit(N.B);
+      }
+      visit(N.A);
+      return;
+    case RExpr::Kind::LetRegion: {
+      const FlatRegion *Info = U.regionInfo(N.BoundRho);
+      N.Slot = Info ? static_cast<uint32_t>(Info - U.Regions.data()) : NoIndex;
+      Rhos.push(N.BoundRho);
+      Tasks.push_back({Task::PopRhos, 1});
+      visit(N.A);
+      return;
+    }
+    case RExpr::Kind::RApp:
+      N.Slot = rho(N.AtRho);
+      for (uint32_t I = 1; I < N.AuxCount; I += 2)
+        setAux(N.AuxBegin + I, rho(U.Aux[N.AuxBegin + I]));
+      visit(N.A);
+      return;
+    case RExpr::Kind::Seq:
+      for (uint32_t I = N.AuxCount; I-- > 0;)
+        visit(U.Aux[N.AuxBegin + I]);
+      return;
+    case RExpr::Kind::StrE:
+    case RExpr::Kind::PairE:
+    case RExpr::Kind::ConsE:
+    case RExpr::Kind::RefE:
+      N.Slot = rho(N.AtRho);
+      break;
+    case RExpr::Kind::BinOp:
+      if (static_cast<BinOpKind>(N.Op) == BinOpKind::Concat)
+        N.Slot = rho(N.AtRho);
+      break;
+    case RExpr::Kind::Prim:
+      if (static_cast<Expr::PrimKind>(N.Prim) == Expr::PrimKind::Itos)
+        N.Slot = rho(N.AtRho);
+      break;
+    default:
+      break;
+    }
+    visit(N.C);
+    visit(N.B);
+    visit(N.A);
+  }
+
+  /// A closure-creating node: resolves the closure's captures and free
+  /// regions in the current frame, then walks the body in its own.
+  void enterFn(FlatNode &N) {
+    N.Slot = rho(N.AtRho);
+    if (FnSeen[N.Fn]) {
+      Ok = false;
+      return;
+    }
+    FnSeen[N.Fn] = true;
+    const FlatFn &F = U.Fns[N.Fn];
+    for (uint32_t I = 0; I < F.CapturesCount; ++I)
+      setAux(F.CapturesBegin + I, var(U.Aux[F.CapturesBegin + I]));
+    for (uint32_t I = 0; I < F.FreeRegionsCount; ++I)
+      setAux(F.FreeRegionsBegin + I, rho(U.Aux[F.FreeRegionsBegin + I]));
+
+    uint32_t NumVars = F.CapturesCount + (F.Self != NoIndex) + 1;
+    Tasks.push_back({Task::LeaveFrame, VarBase, RhoBase});
+    Tasks.push_back({Task::PopRhos, F.FreeRegionsCount + F.FormalsCount});
+    Tasks.push_back({Task::PopVars, NumVars});
+    visit(F.Body);
+    VarBase = Vars.size();
+    RhoBase = Rhos.size();
+    for (uint32_t I = 0; I < F.CapturesCount; ++I)
+      Vars.push(U.Aux[F.CapturesBegin + I]);
+    if (F.Self != NoIndex)
+      Vars.push(F.Self);
+    Vars.push(F.Param);
+    for (uint32_t I = 0; I < F.FreeRegionsCount; ++I)
+      Rhos.push(U.Aux[F.FreeRegionsBegin + I]);
+    for (uint32_t I = 0; I < F.FormalsCount; ++I)
+      Rhos.push(U.Aux[F.FormalsBegin + I]);
+  }
+
+  FlatUnit &U;
+  std::vector<bool> NodeSeen, FnSeen, AuxSeen;
+  std::vector<Task> Tasks;
+  Bindings Vars, Rhos;
+  uint32_t VarBase = 0, RhoBase = 0;
+  bool Ok = true;
+};
+
+} // namespace
+
+bool rml::flat::resolveFrames(FlatUnit &U) {
+  if (U.Root >= U.Nodes.size())
+    return false;
+  return FrameResolver(U).run();
 }
 
 //===----------------------------------------------------------------------===//
@@ -60,7 +308,6 @@ public:
   FnPass(const DropInfo &Drops) : Drops(Drops) {}
 
   std::vector<FnInfo> Fns;
-  std::unordered_map<const RExpr *, uint32_t> FnIndex;
   std::unordered_map<const RExpr *, std::vector<std::pair<uint32_t, uint32_t>>>
       RAppArgs;
   std::unordered_map<Symbol, uint32_t> ExnIds;
@@ -96,7 +343,6 @@ private:
       F.Body = E->A;
       F.Param = E->Param;
       F.Captures = freeVars(E);
-      FnIndex.emplace(E, static_cast<uint32_t>(Fns.size()));
       Fns.push_back(std::move(F));
       walk(E->A);
       return;
@@ -111,7 +357,6 @@ private:
       for (RegionVar R : E->Sigma.QRegions)
         if (!Drops.isDropped(E, R))
           F.RuntimeFormals.push_back(R.Id);
-      FnIndex.emplace(E, static_cast<uint32_t>(Fns.size()));
       Fns.push_back(std::move(F));
       size_t Mark = FunScope.size();
       bindFun(E->Name, E);
@@ -215,13 +460,15 @@ public:
                 const CaptureInfo *Caps) {
     U.Strat = static_cast<uint8_t>(Strat);
     RegionIds.insert(0); // the global region always has an entry
+    FnBody.assign(FP.Fns.size(), NoIndex);
     U.Root = flatten(P.Root);
     U.RootMu = flattenMu(RootMu);
     // Fn table: bodies and captures were flattened/interned while
     // walking the root (every body is a descendant of the root).
-    for (const FnInfo &F : FP.Fns) {
+    for (size_t I = 0; I < FP.Fns.size(); ++I) {
+      const FnInfo &F = FP.Fns[I];
       FlatFn FF;
-      FF.Body = NodeIndex.at(F.Body);
+      FF.Body = FnBody[I];
       FF.Param = nameId(F.Param);
       FF.Self = nameId(F.SelfName);
       FF.CapturesBegin = static_cast<uint32_t>(U.Aux.size());
@@ -231,6 +478,10 @@ public:
       FF.FreeRegionsBegin = static_cast<uint32_t>(U.Aux.size());
       FF.FreeRegionsCount = static_cast<uint32_t>(F.FreeRegions.size());
       for (uint32_t R : F.FreeRegions)
+        U.Aux.push_back(R);
+      FF.FormalsBegin = static_cast<uint32_t>(U.Aux.size());
+      FF.FormalsCount = static_cast<uint32_t>(F.RuntimeFormals.size());
+      for (uint32_t R : F.RuntimeFormals)
         U.Aux.push_back(R);
       U.Fns.push_back(FF);
     }
@@ -343,11 +594,9 @@ private:
   uint32_t flatten(const RExpr *E) {
     if (!E)
       return NoIndex;
-    // Substitution shares subtrees; flatten each node once so the flat
-    // form keeps the DAG (and the table stays linear in program size).
-    auto It = NodeIndex.find(E);
-    if (It != NodeIndex.end())
-      return It->second;
+    // A shared subtree is flattened once per parent: the copies may sit
+    // in different frames, and each node carries one set of slots. The
+    // walk is FnPass's pre-order, so the k-th fn met here is FP.Fns[k].
 
     FlatNode N;
     N.Kind = static_cast<uint8_t>(E->K);
@@ -367,9 +616,10 @@ private:
       break;
     case RExpr::Kind::Lam:
     case RExpr::Kind::FunBind:
-      N.Fn = FP.FnIndex.at(E);
+      N.Fn = NextFn++;
+      assert(FP.Fns[N.Fn].Node == E && "flatten and FnPass walk in step");
       N.AtRho = E->AtRho.Id;
-      N.A = flatten(E->A);
+      N.A = FnBody[N.Fn] = flatten(E->A);
       break;
     case RExpr::Kind::Let:
       N.Name = nameId(E->Name);
@@ -449,7 +699,6 @@ private:
 
     uint32_t Id = static_cast<uint32_t>(U.Nodes.size());
     U.Nodes.push_back(N);
-    NodeIndex.emplace(E, Id);
     return Id;
   }
 
@@ -458,7 +707,8 @@ private:
   const RegionKindInfo &Kinds;
   const Interner &Names;
   FlatUnit U;
-  std::unordered_map<const RExpr *, uint32_t> NodeIndex;
+  uint32_t NextFn = 0;
+  std::vector<uint32_t> FnBody; // per fn: its body's node index
   std::unordered_map<const Mu *, uint32_t> MuIndex;
   std::unordered_map<const Tau *, uint32_t> TauIndex;
   std::unordered_map<std::string, uint32_t> StringIndex;
@@ -476,7 +726,12 @@ FlatUnit rml::flat::flattenProgram(const RProgram &P, const Mu *RootMu,
   FnPass FP(Drops);
   FP.run(P);
   Flattener F(FP, Mult, Kinds, Names);
-  return F.take(P, RootMu, Strat, Caps);
+  FlatUnit U = F.take(P, RootMu, Strat, Caps);
+  // Pipeline output resolves completely (tests/fuzz_test.cpp checks
+  // every generated program); a reference that did not would keep a
+  // NoIndex slot, which the evaluator reports as an internal error.
+  resolveFrames(U);
+  return U;
 }
 
 std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
@@ -509,9 +764,10 @@ std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
 namespace {
 
 constexpr char Magic[8] = {'R', 'M', 'L', 'F', 'L', 'A', 'T', '1'};
-/// v2 added the HasCaptures flag and the Caps table; v1 bytes are
-/// version-rejected (the disk cache degrades that to a counted miss).
-constexpr uint32_t FlatVersion = 2;
+/// v2 added the HasCaptures flag and the Caps table; v3 added the fn
+/// runtime-formals span. Older bytes are version-rejected (the disk
+/// cache counts that as a load reject).
+constexpr uint32_t FlatVersion = 3;
 
 uint64_t fnv1a(std::string_view Bytes) {
   uint64_t H = 0xcbf29ce484222325ull;
@@ -625,7 +881,7 @@ FlatNode decodeNode(Reader &R) {
   return N;
 }
 
-constexpr size_t FnBytes = 7 * 4;
+constexpr size_t FnBytes = 9 * 4;
 constexpr size_t CapBytes = 4 * 4;
 constexpr size_t MuBytes = 1 + 4;
 constexpr size_t TauBytes = 1 + 2 * 4;
@@ -711,7 +967,8 @@ bool validate(const FlatUnit &U) {
     if (!strOk(F.Param, U) || !strOk(F.Self, U))
       return false;
     if (!spanOk(F.CapturesBegin, F.CapturesCount, U.Aux.size()) ||
-        !spanOk(F.FreeRegionsBegin, F.FreeRegionsCount, U.Aux.size()))
+        !spanOk(F.FreeRegionsBegin, F.FreeRegionsCount, U.Aux.size()) ||
+        !spanOk(F.FormalsBegin, F.FormalsCount, U.Aux.size()))
       return false;
     for (uint32_t I = 0; I < F.CapturesCount; ++I)
       if (U.Aux[F.CapturesBegin + I] >= U.StringSpans.size())
@@ -774,6 +1031,8 @@ std::string rml::flat::encodeFlat(const FlatUnit &U) {
     putU32(Body, F.CapturesCount);
     putU32(Body, F.FreeRegionsBegin);
     putU32(Body, F.FreeRegionsCount);
+    putU32(Body, F.FormalsBegin);
+    putU32(Body, F.FormalsCount);
   }
   putU64(Body, U.Caps.size());
   for (const FlatCapture &C : U.Caps) {
@@ -868,6 +1127,8 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
     F.CapturesCount = R.u32();
     F.FreeRegionsBegin = R.u32();
     F.FreeRegionsCount = R.u32();
+    F.FormalsBegin = R.u32();
+    F.FormalsCount = R.u32();
     U->Fns.push_back(F);
   }
 
@@ -959,10 +1220,11 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
   if (Off != BlobLen)
     return nullptr;
 
-  // No trailing bytes, no short reads, and every index in range.
+  // No trailing bytes, no short reads, every index in range, and every
+  // reference resolved inside its own frame.
   if (!R.done())
     return nullptr;
-  if (!validate(*U))
+  if (!validate(*U) || !resolveFrames(*U))
     return nullptr;
   return U;
 }

@@ -20,10 +20,11 @@
 ///   Nodes    flattened RExpr tree: kind + child indices + per-kind
 ///            payload (literal, name ids, region ids, fn/rapp links)
 ///   Fns      one entry per lambda / fun binding: body node, parameter
-///            and self name ids, capture name-id span, free-region span
+///            and self name ids, capture name-id span, free-region span,
+///            runtime-formals span
 ///   Aux      a shared u32 pool holding the variable-length spans:
-///            Seq item lists, RApp (formal,target) pairs, fn captures
-///            and free-region sets
+///            Seq item lists, RApp (formal,target) pairs, fn captures,
+///            free-region sets and runtime formals
 ///   Mus/Taus the result type reachable from RootMu, for rendering the
 ///            final value
 ///   Regions  per static region id: kind (tag-free layout decisions)
@@ -32,6 +33,26 @@
 ///            into ExnConE/Handle nodes), for rendering
 ///   Strings  one deduplicated blob; name ids ARE string-table indices,
 ///            so a FlatUnit never needs the Compiler's interner
+///
+/// **Frames and slots.** Every variable and region reference is resolved
+/// to a slot in the frame of the function (or the program root) it sits
+/// in, so the interpreter never searches by name:
+///
+///   variable frame  captures, then self (fun bindings), then param,
+///                   then Let / ListCase / Handle binders in push order
+///   region frame    the fn's free regions, then its runtime formals,
+///                   then letregion binders in push order; static id 0
+///                   (the global region) is GlobalRegionSlot
+///
+/// A reference's slot is its position in that layout at the point of
+/// reference — for regions one of the four places global, free region
+/// j, formal i (slot FreeRegionsCount + i) or letregion depth d (slot
+/// FreeRegionsCount + FormalsCount + d). Slots are *derived* data:
+/// resolveFrames computes FlatNode::Slot and FlatUnit::AuxSlots from the
+/// encoded tables, flattenProgram and decodeFlat both call it, and the
+/// encoding never carries them. A unit whose references do not all
+/// resolve inside their own frame, or whose node graph is not a tree
+/// (each node and fn reached once from the root), does not decode.
 ///
 /// Everything semantic the interpreter would otherwise consult at runtime —
 /// drop analysis (absorbed into RApp pairs and free-region sets),
@@ -96,7 +117,15 @@ struct FlatNode {
   uint32_t AtRho = NoIndex;    ///< allocation destination static id
   uint32_t BoundRho = NoIndex; ///< LetRegion binder static id
   uint32_t Fn = NoIndex;       ///< Lam/FunBind: FlatUnit::Fns index
+  /// Derived, not encoded (see resolveFrames). Var: variable-frame slot.
+  /// StrE/Lam/FunBind/PairE/ConsE/RefE/RApp, BinOp Concat, Prim Itos:
+  /// region-frame slot of AtRho (GlobalRegionSlot for r0). LetRegion:
+  /// BoundRho's index in FlatUnit::Regions. NoIndex: unresolved.
+  uint32_t Slot = NoIndex;
 };
+
+/// The region-frame "slot" of the global region (static id 0).
+inline constexpr uint32_t GlobalRegionSlot = UINT32_MAX - 1;
 
 /// One closure's captured-region sets (rinfer/Captures.h), spans into
 /// Aux holding ascending static region ids. Present (Caps parallel to
@@ -117,6 +146,10 @@ struct FlatFn {
   /// Free static region ids to pack into closures (span into Aux;
   /// ascending).
   uint32_t FreeRegionsBegin = 0, FreeRegionsCount = 0;
+  /// Runtime (non-dropped) region formals of a fun binding, in scheme
+  /// order — the order RApp appends their instantiations (span into
+  /// Aux; empty for lambdas).
+  uint32_t FormalsBegin = 0, FormalsCount = 0;
 };
 
 /// Flattened result types: only what rendering reads (kind + children).
@@ -154,6 +187,11 @@ struct FlatUnit {
   std::vector<FlatFn> Fns;
   std::vector<FlatCapture> Caps; ///< empty, or one entry per Fns entry
   std::vector<uint32_t> Aux;
+  /// Derived, not encoded (see resolveFrames): parallel to Aux. A fn's
+  /// capture entries hold variable slots and its free-region entries
+  /// region slots, both in the frame that creates the closure; an RApp
+  /// pair's target entry holds a region slot. NoIndex elsewhere.
+  std::vector<uint32_t> AuxSlots;
   std::vector<FlatMu> Mus;
   std::vector<FlatTau> Taus;
   std::vector<FlatRegion> Regions;  ///< strictly ascending by Id
@@ -181,7 +219,9 @@ struct FlatUnit {
 
 /// Flattens a compiled program. Deterministic: the node, function and
 /// string tables are filled in one fixed pre-order walk, so identical
-/// inputs yield identical (and identically serialisable) units.
+/// inputs yield identical (and identically serialisable) units. A
+/// subtree the RExpr shares between two parents is flattened once per
+/// parent, so every flat node has one frame and one set of slots.
 /// \p Caps, when non-null, is the capture-tracking table for \p P in
 /// the same closure pre-order this pass discovers functions in; it is
 /// embedded as the Caps/Aux sections so the report survives
@@ -191,6 +231,14 @@ FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
                         const RegionKindInfo &Kinds, const DropInfo &Drops,
                         const Interner &Names, Strategy Strat,
                         const CaptureInfo *Caps = nullptr);
+
+/// Computes the derived slots (FlatNode::Slot, FlatUnit::AuxSlots) of
+/// \p U by walking it from the root, one frame per fn body. Returns
+/// false when a reference does not resolve inside its own frame, or
+/// when a node, fn or Aux entry is reached twice; the walk still fills
+/// every slot it can (unresolved ones stay NoIndex). Linear in the
+/// unit's size and iterative, so hostile input cannot exhaust the stack.
+bool resolveFrames(FlatUnit &U);
 
 /// Renders the capture report from a flat unit's embedded table —
 /// byte-identical to Compiler::captureReport on the compiled unit (same
@@ -203,9 +251,10 @@ std::string renderCaptureReport(const FlatUnit &U);
 std::string encodeFlat(const FlatUnit &U);
 
 /// Deserialises and fully validates: checksum first, then every index,
-/// span and enum against its table. Returns null on any damage —
-/// truncation, bit flips, out-of-range indices, section-length
-/// overruns, trailing bytes — never throws, never returns a unit the
+/// span and enum against its table, then resolveFrames. Returns null on
+/// any damage — truncation, bit flips, out-of-range indices,
+/// section-length overruns, trailing bytes, references that do not
+/// resolve in their own frame — never throws, never returns a unit the
 /// evaluator could walk out of bounds.
 std::shared_ptr<const FlatUnit> decodeFlat(std::string_view Bytes);
 

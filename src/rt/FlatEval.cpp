@@ -5,6 +5,15 @@
 // tests/golden_run_test.cpp pins them against a recorded fixture, and
 // the small-step semantics (tests/fuzz_test.cpp) checks results.
 //
+// Nothing is found by name. Every variable and region reference
+// carries the frame slot flat::resolveFrames gave it (flat/Flat.h):
+// variables live in one Env stack of values, the current frame at
+// FrameBase; region handles in one RFrame stack, the current frame at
+// RBase. App pushes a callee's frames from the closure (captures, self,
+// param; free regions, then the latest formals) and pops them on
+// return; Let / ListCase / Handle push variables and letregion pushes
+// a handle. Env's push order is the GC root order.
+//
 //===----------------------------------------------------------------------===//
 
 #include "rt/FlatEval.h"
@@ -20,6 +29,7 @@ using flat::FlatFn;
 using flat::FlatNode;
 using flat::FlatRegion;
 using flat::FlatUnit;
+using flat::GlobalRegionSlot;
 using flat::NoIndex;
 
 namespace {
@@ -35,8 +45,7 @@ public:
     Heap.SharedPool = Opts.RetainReleasedPages ? nullptr : Opts.SharedPool;
     // The global region's representation follows the kind analysis like
     // any other region.
-    Heap.region(0).Kind = staticKind(0);
-    RegionEnv.emplace_back(0u, 0u); // global region
+    Heap.region(0).Kind = staticKind(U.regionInfo(0));
   }
 
   RunResult run() {
@@ -97,7 +106,7 @@ private:
     GcKind Kind = Policy.nextKind();
     std::vector<Value *> Roots;
     Roots.reserve(Env.size() + Temps.size() + Remembered.size() + 1);
-    for (auto &[S, V] : Env)
+    for (Value &V : Env)
       Roots.push_back(&V);
     for (Value &V : Temps)
       Roots.push_back(&V);
@@ -135,21 +144,21 @@ private:
   // Regions and allocation
   //===--------------------------------------------------------------------===//
 
-  uint32_t resolveRegion(uint32_t StaticId) {
-    if (StaticId == 0)
+  /// The runtime handle in region-frame slot \p Slot (flat/Flat.h);
+  /// \p StaticId only names an unresolved reference in the error.
+  uint32_t regionAt(uint32_t Slot, uint32_t StaticId) {
+    if (Slot < GlobalRegionSlot)
+      return RFrame[RBase + Slot];
+    if (Slot == GlobalRegionSlot)
       return 0;
-    for (size_t I = RegionEnv.size(); I-- > 0;)
-      if (RegionEnv[I].first == StaticId)
-        return RegionEnv[I].second;
     fatal(RunOutcome::RuntimeError,
           "internal: unbound region r" + std::to_string(StaticId));
     return 0;
   }
 
-  RegionKind staticKind(uint32_t StaticId) const {
+  RegionKind staticKind(const FlatRegion *Info) const {
     if (!Opts.TagFreePairs)
       return RegionKind::Mixed;
-    const FlatRegion *Info = U.regionInfo(StaticId);
     RegionKind K = Info ? static_cast<RegionKind>(Info->Kind)
                         : RegionKind::Empty;
     switch (K) {
@@ -184,19 +193,20 @@ private:
            KindOut == RegionKind::Ref;
   }
 
-  uint64_t *allocAt(uint32_t StaticRho, size_t Words) {
+  /// Allocates \p Words words in region-frame slot \p Slot.
+  uint64_t *allocAt(uint32_t Slot, uint32_t StaticId, size_t Words) {
     maybeGc();
     if (Fatal)
       return nullptr;
-    uint32_t Handle = resolveRegion(StaticRho);
+    uint32_t Handle = regionAt(Slot, StaticId);
     if (Fatal)
       return nullptr;
     return Heap.alloc(Handle, Words);
   }
 
-  Value makeString(uint32_t StaticRho, std::string_view S) {
+  Value makeString(const FlatNode &E, std::string_view S) {
     size_t DataWords = (S.size() + 7) / 8;
-    uint64_t *Obj = allocAt(StaticRho, 1 + DataWords);
+    uint64_t *Obj = allocAt(E.Slot, E.AtRho, 1 + DataWords);
     if (!Obj)
       return unitValue();
     Obj[0] = makeHeader(ObjKind::String, S.size());
@@ -218,13 +228,13 @@ private:
   /// region's kind allows (a formal region variable may be instantiated
   /// with a mixed-kind region, so the decision is per region, not per
   /// allocation site).
-  Value makeCell(uint32_t StaticRho, ObjKind Kind, Value A, Value B) {
+  Value makeCell(const FlatNode &E, ObjKind Kind, Value A, Value B) {
     TempScope T(*this);
     size_t IA = T.push(A), IB = T.push(B);
     maybeGc();
     if (Fatal)
       return unitValue();
-    uint32_t Handle = resolveRegion(StaticRho);
+    uint32_t Handle = regionAt(E.Slot, E.AtRho);
     if (Fatal)
       return unitValue();
     RegionKind RK = Heap.region(Handle).Kind;
@@ -258,10 +268,11 @@ private:
                                          : "<name>";
   }
 
-  Value lookupEnv(uint32_t NameId) {
-    for (size_t I = Env.size(); I-- > 0;)
-      if (Env[I].first == NameId)
-        return Env[I].second;
+  /// The value in variable-frame slot \p Slot (flat/Flat.h); \p NameId
+  /// only names an unresolved reference in the error.
+  Value varAt(uint32_t Slot, uint32_t NameId) {
+    if (Slot != NoIndex)
+      return Env[FrameBase + Slot];
     fatal(RunOutcome::RuntimeError,
           "internal: unbound variable '" + nameText(NameId) + "'");
     return unitValue();
@@ -271,24 +282,28 @@ private:
     return (static_cast<uint64_t>(StaticId) << 32) | Handle;
   }
 
-  Value makeClosure(uint32_t FnIdx, uint32_t AtRho) {
-    const FlatFn &F = U.Fns[FnIdx];
+  /// Closure layout: [hdr][fnIdx][nRegions][(static,handle) words]
+  /// [captures]. The region words are the fn's free regions, then one
+  /// group of formals per non-redundant region application.
+  Value makeClosure(const FlatNode &E) {
+    const FlatFn &F = U.Fns[E.Fn];
     size_t NRegions = F.FreeRegionsCount;
     size_t NCaptures = F.CapturesCount;
     size_t Words = 3 + NRegions + NCaptures;
-    uint64_t *Obj = allocAt(AtRho, Words);
+    uint64_t *Obj = allocAt(E.Slot, E.AtRho, Words);
     if (!Obj)
       return unitValue();
     Obj[0] = makeHeader(ObjKind::Closure, Words - 1);
-    Obj[1] = FnIdx;
+    Obj[1] = E.Fn;
     Obj[2] = NRegions;
     for (size_t I = 0; I < NRegions; ++I) {
-      uint32_t Static = U.Aux[F.FreeRegionsBegin + I];
-      uint32_t Handle = resolveRegion(Static);
-      Obj[3 + I] = packRegion(Static, Handle);
+      uint32_t At = F.FreeRegionsBegin + static_cast<uint32_t>(I);
+      Obj[3 + I] = packRegion(U.Aux[At], regionAt(U.AuxSlots[At], U.Aux[At]));
     }
-    for (size_t I = 0; I < NCaptures; ++I)
-      Obj[3 + NRegions + I] = lookupEnv(U.Aux[F.CapturesBegin + I]);
+    for (size_t I = 0; I < NCaptures; ++I) {
+      uint32_t At = F.CapturesBegin + static_cast<uint32_t>(I);
+      Obj[3 + NRegions + I] = varAt(U.AuxSlots[At], U.Aux[At]);
+    }
     return fromPtr(Obj);
   }
 
@@ -398,19 +413,19 @@ private:
     case RExpr::Kind::NilVal:
       return NilValue;
     case RExpr::Kind::StrE:
-      return makeString(E.AtRho, U.str(E.Str));
+      return makeString(E, U.str(E.Str));
     case RExpr::Kind::Var:
-      return lookupEnv(E.Name);
+      return varAt(E.Slot, E.Name);
 
     case RExpr::Kind::Lam:
     case RExpr::Kind::FunBind:
-      return makeClosure(E.Fn, E.AtRho);
+      return makeClosure(E);
 
     case RExpr::Kind::Let: {
       Value V = eval(E.A);
       if (interrupted())
         return unitValue();
-      Env.emplace_back(E.Name, V);
+      Env.push_back(V);
       Value R = eval(E.B);
       Env.pop_back();
       return R;
@@ -435,22 +450,33 @@ private:
         return fatal(RunOutcome::RuntimeError,
                      "internal: application of a non-closure");
       const FlatFn &F = U.Fns[FnIdx];
-      size_t RMark = RegionEnv.size();
-      for (size_t I = 0; I < NRegions; ++I) {
-        uint64_t W = Obj[3 + I];
-        RegionEnv.emplace_back(static_cast<uint32_t>(W >> 32),
-                               static_cast<uint32_t>(W));
-      }
-      size_t EMark = Env.size();
+      // The region frame: the free regions (the closure's first words),
+      // then the formals of the latest region application (its last
+      // words) — what a backward search by static id would find.
+      if (NRegions < F.FreeRegionsCount + F.FormalsCount)
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: region formals of a closure never "
+                     "instantiated");
+      const size_t SavedRBase = RBase, SavedFrameBase = FrameBase;
+      const size_t NewRBase = RFrame.size();
+      for (size_t I = 0; I < F.FreeRegionsCount; ++I)
+        RFrame.push_back(static_cast<uint32_t>(Obj[3 + I]));
+      for (size_t I = NRegions - F.FormalsCount; I < NRegions; ++I)
+        RFrame.push_back(static_cast<uint32_t>(Obj[3 + I]));
+      const size_t NewFrameBase = Env.size();
       for (size_t I = 0; I < F.CapturesCount; ++I)
-        Env.emplace_back(U.Aux[F.CapturesBegin + I], Obj[3 + NRegions + I]);
+        Env.push_back(Obj[3 + NRegions + I]);
       if (F.Self != NoIndex)
-        Env.emplace_back(F.Self, FV);
-      Env.emplace_back(F.Param, Temps[IX]);
+        Env.push_back(FV);
+      Env.push_back(Temps[IX]);
       // Obj may move from here on; no further reads.
+      RBase = NewRBase;
+      FrameBase = NewFrameBase;
       Value R = eval(F.Body);
-      Env.resize(EMark);
-      RegionEnv.resize(RMark);
+      Env.resize(NewFrameBase);
+      RFrame.resize(NewRBase);
+      RBase = SavedRBase;
+      FrameBase = SavedFrameBase;
       return R;
     }
 
@@ -459,13 +485,18 @@ private:
       size_t IC = T.push(eval(E.A));
       if (interrupted())
         return unitValue();
-      // Resolve the instantiating regions before allocating.
-      std::vector<uint64_t> Extra;
-      Extra.reserve(E.AuxCount / 2);
+      if (!isPointer(Temps[IC]))
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: region application of a non-closure");
+      // Resolve the instantiating regions before allocating. The pairs
+      // go into a reused buffer: nothing evaluates between filling it
+      // and copying it into the new closure.
+      std::vector<uint64_t> &Extra = RAppPairs;
+      Extra.clear();
       for (uint32_t I = 0; I < E.AuxCount; I += 2) {
         uint32_t Formal = U.Aux[E.AuxBegin + I];
         uint32_t Target = U.Aux[E.AuxBegin + I + 1];
-        uint32_t Handle = resolveRegion(Target);
+        uint32_t Handle = regionAt(U.AuxSlots[E.AuxBegin + I + 1], Target);
         if (Fatal)
           return unitValue();
         Extra.push_back(packRegion(Formal, Handle));
@@ -491,7 +522,7 @@ private:
       if (Redundant)
         return Temps[IC];
       size_t Words = Total + Extra.size();
-      uint64_t *Obj = allocAt(E.AtRho, Words);
+      uint64_t *Obj = allocAt(E.Slot, E.AtRho, Words);
       if (!Obj)
         return unitValue();
       Old = asPtr(Temps[IC]); // may have moved during allocation
@@ -508,15 +539,15 @@ private:
     }
 
     case RExpr::Kind::LetRegion: {
-      const FlatRegion *Info = U.regionInfo(E.BoundRho);
+      const FlatRegion *Info = E.Slot != NoIndex ? &U.Regions[E.Slot] : nullptr;
       unsigned FiniteWords = 0;
       if (Opts.UseFiniteRegions && Info && Info->Finite)
         FiniteWords = Info->Words;
       uint32_t Handle =
-          Heap.create(E.BoundRho, staticKind(E.BoundRho), FiniteWords);
-      RegionEnv.emplace_back(E.BoundRho, Handle);
+          Heap.create(E.BoundRho, staticKind(Info), FiniteWords);
+      RFrame.push_back(Handle);
       Value V = eval(E.A);
-      RegionEnv.pop_back();
+      RFrame.pop_back();
       Heap.release(Handle);
       purgeRemembered();
       return V;
@@ -531,7 +562,7 @@ private:
       Value B = eval(E.B);
       if (interrupted())
         return unitValue();
-      return makeCell(E.AtRho, ObjKind::Pair, Temps[IA], B);
+      return makeCell(E, ObjKind::Pair, Temps[IA], B);
     }
 
     case RExpr::Kind::ConsE: {
@@ -543,13 +574,16 @@ private:
       Value B = eval(E.B);
       if (interrupted())
         return unitValue();
-      return makeCell(E.AtRho, ObjKind::Cons, Temps[IA], B);
+      return makeCell(E, ObjKind::Cons, Temps[IA], B);
     }
 
     case RExpr::Kind::Sel: {
       Value V = eval(E.A);
       if (interrupted())
         return unitValue();
+      if (!isPointer(V))
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: selection from a non-pair");
       Value A, B;
       readCell(V, A, B);
       return E.Sel == 1 ? A : B;
@@ -571,10 +605,13 @@ private:
         return unitValue();
       if (V == NilValue)
         return eval(E.B);
+      if (!isPointer(V))
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: case analysis of a non-list");
       Value Head, Tail;
       readCell(V, Head, Tail);
-      Env.emplace_back(E.HeadName, Head);
-      Env.emplace_back(E.TailName, Tail);
+      Env.push_back(Head);
+      Env.push_back(Tail);
       Value R = eval(E.C);
       Env.pop_back();
       Env.pop_back();
@@ -590,7 +627,7 @@ private:
       maybeGc();
       if (Fatal)
         return unitValue();
-      uint32_t Handle = resolveRegion(E.AtRho);
+      uint32_t Handle = regionAt(E.Slot, E.AtRho);
       if (Fatal)
         return unitValue();
       bool TagFree = Heap.region(Handle).Kind == RegionKind::Ref;
@@ -608,6 +645,9 @@ private:
       Value V = eval(E.A);
       if (interrupted())
         return unitValue();
+      if (!isPointer(V))
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: dereference of a non-reference");
       uint64_t *Obj = asPtr(V);
       RegionKind K;
       size_t Off = tagFreeAt(Obj, K) ? 0 : 1;
@@ -623,6 +663,9 @@ private:
       Value V = eval(E.B);
       if (interrupted())
         return unitValue();
+      if (!isPointer(Temps[IR]))
+        return fatal(RunOutcome::RuntimeError,
+                     "internal: assignment to a non-reference");
       uint64_t *Obj = asPtr(Temps[IR]);
       RegionKind K;
       size_t Off = tagFreeAt(Obj, K) ? 0 : 1;
@@ -668,9 +711,9 @@ private:
       Unwinding = false;
       size_t EMark = Env.size();
       if (E.BindName != NoIndex && Obj && headerPayload(Obj[0]) == 1)
-        Env.emplace_back(E.BindName, Obj[2]);
+        Env.push_back(Obj[2]);
       else if (E.BindName != NoIndex)
-        Env.emplace_back(E.BindName, unitValue());
+        Env.push_back(unitValue());
       ExnVal = NilValue;
       Value R = eval(E.B);
       Env.resize(EMark);
@@ -687,7 +730,7 @@ private:
       }
       TempScope T(*this);
       size_t IA = T.push(Arg);
-      uint64_t *Obj = allocAt(0, HasArg ? 3 : 2); // the global region
+      uint64_t *Obj = allocAt(GlobalRegionSlot, 0, HasArg ? 3 : 2);
       if (!Obj)
         return unitValue();
       Obj[0] = makeHeader(ObjKind::Exn, HasArg ? 1 : 0);
@@ -764,7 +807,7 @@ private:
     case BinOpKind::Concat: {
       std::string S(readString(L));
       S += readString(R);
-      return makeString(E.AtRho, S);
+      return makeString(E, S);
     }
     case BinOpKind::Cons:
     case BinOpKind::AndAlso:
@@ -785,7 +828,7 @@ private:
     case Expr::PrimKind::Size:
       return boxScalar(static_cast<int64_t>(readString(V).size()));
     case Expr::PrimKind::Itos:
-      return makeString(E.AtRho, std::to_string(unboxScalar(V)));
+      return makeString(E, std::to_string(unboxScalar(V)));
     case Expr::PrimKind::Global:
       return V; // purely a region-inference directive
     case Expr::PrimKind::Work: {
@@ -819,9 +862,15 @@ private:
   EvalOptions Opts;
 
   RegionHeap Heap;
-  std::vector<std::pair<uint32_t, Value>> Env; // keyed by name (string) id
+  /// Variable frames, stacked; the current one starts at FrameBase.
+  std::vector<Value> Env;
+  size_t FrameBase = 0;
   std::vector<Value> Temps;
-  std::vector<std::pair<uint32_t, uint32_t>> RegionEnv;
+  /// Region frames (runtime handles), stacked; the current one starts
+  /// at RBase.
+  std::vector<uint32_t> RFrame;
+  size_t RBase = 0;
+  std::vector<uint64_t> RAppPairs; // RApp's (formal, handle) scratch
   bool Unwinding = false;
   Value ExnVal = NilValue;
   std::vector<Value *> Remembered; // old-to-young slots (write barrier)

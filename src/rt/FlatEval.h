@@ -27,8 +27,9 @@
 
 namespace rml::rt {
 
-/// Runs \p U under \p Opts. \p U must be structurally valid (as
-/// produced by flat::flattenProgram or accepted by flat::decodeFlat).
+/// Runs \p U under \p Opts. \p U must be structurally valid and carry
+/// its frame slots (as produced by flat::flattenProgram or accepted by
+/// flat::decodeFlat; both run flat::resolveFrames).
 RunResult runFlatUnit(const flat::FlatUnit &U, const EvalOptions &Opts);
 
 } // namespace rml::rt

@@ -3,7 +3,6 @@
 #include "rt/Gc.h"
 
 #include <cassert>
-#include <map>
 #include <unordered_map>
 
 using namespace rml;
@@ -32,18 +31,12 @@ public:
       ++Heap.Stats.MajorGcCount;
 
     // Detach every live region's (young, for minor collections) pages:
-    // they become from-space.
-    const std::vector<uint32_t> Live = Heap.liveRegions();
+    // they become from-space, which the heap's page index answers.
+    const std::vector<uint32_t> &Live = Heap.liveRegions();
     Result.LiveRegions = Live.size();
-    for (uint32_t Handle : Live) {
-      std::vector<RegionHeap::Page> Pages =
-          Heap.detachPages(Handle, Kind == GcKind::Minor);
-      for (const RegionHeap::Page &P : Pages) {
-        uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-        FromRanges[Start] = Start + P.Cap * 8;
-      }
-      FromSpace.emplace_back(Handle, std::move(Pages));
-    }
+    FromSpace.reserve(Live.size());
+    for (uint32_t Handle : Live)
+      FromSpace.push_back(Heap.detachPages(Handle, Kind == GcKind::Minor));
 
     // Evacuate roots, then scan the to-space worklist.
     for (Value *Slot : Roots) {
@@ -58,8 +51,8 @@ public:
     }
 
     // Discard from-space; in generational mode the survivors become old.
-    for (auto &[Handle, Pages] : FromSpace)
-      Heap.dropFromSpace(std::move(Pages));
+    for (RegionHeap::PageList Pages : FromSpace)
+      Heap.dropFromSpace(Pages);
     if (Seal && Result.Ok)
       Heap.sealLivePages();
     Heap.Stats.CopiedWords += Result.CopiedWords;
@@ -71,15 +64,6 @@ public:
   }
 
 private:
-  bool inFromSpace(const uint64_t *P) const {
-    uintptr_t Addr = reinterpret_cast<uintptr_t>(P);
-    auto It = FromRanges.upper_bound(Addr);
-    if (It == FromRanges.begin())
-      return false;
-    --It;
-    return Addr >= It->first && Addr < It->second;
-  }
-
   /// Object layout at \p Obj in a region of kind \p Kind.
   Layout layoutOf(const uint64_t *Obj, RegionKind Kind) const {
     switch (Kind) {
@@ -125,7 +109,7 @@ private:
     if (!isPointer(Slot))
       return true;
     uint64_t *Old = asPtr(Slot);
-    if (!inFromSpace(Old)) {
+    if (!Heap.inFromSpace(Old)) {
       // Either already in to-space (shared object scanned twice) or a
       // pointer outside every live region: the dangling-pointer case.
       std::optional<uint32_t> Owner = Heap.ownerOf(Old);
@@ -172,8 +156,7 @@ private:
   RegionHeap &Heap;
   GcKind Kind;
   bool Seal;
-  std::map<uintptr_t, uintptr_t> FromRanges;
-  std::vector<std::pair<uint32_t, std::vector<RegionHeap::Page>>> FromSpace;
+  std::vector<RegionHeap::PageList> FromSpace;
   std::unordered_map<uint64_t *, Value> Forward;
   std::vector<std::pair<uint64_t *, uint32_t>> Worklist;
 };

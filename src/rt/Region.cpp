@@ -11,8 +11,13 @@ using namespace rml;
 using namespace rml::rt;
 
 RegionHeap::RegionHeap() {
-  // Handle 0 is the global region, always live.
-  Regions.push_back(Region{0, RegionKind::Mixed, false, true, {}});
+  // Handle 0 is the global region, always live. profiles() leaves its
+  // profile out until something is allocated there.
+  Region Global;
+  Global.Live = true;
+  Global.Profile = profileSlot(0);
+  Regions.push_back(Global);
+  Live.push_back(0);
   Stats.RegionsCreated = 1;
 }
 
@@ -26,95 +31,115 @@ RegionHeap::~RegionHeap() {
     return;
   std::vector<std::unique_ptr<uint64_t[]>> Standard;
   Standard.reserve(Pool.size());
-  for (Region &R : Regions)
-    for (Page &P : R.Pages)
-      if (P.Cap == PageWords)
-        Standard.push_back(std::move(P.Words));
-  for (Page &P : Pool)
-    Standard.push_back(std::move(P.Words));
+  for (uint32_t Handle : Live)
+    for (uint32_t Id = Regions[Handle].Pages.First; Id != NoPage;
+         Id = Pages[Id].Next)
+      if (Pages[Id].Cap == PageWords)
+        Standard.push_back(std::move(Pages[Id].Words));
+  for (uint32_t Id : Pool)
+    Standard.push_back(std::move(Pages[Id].Words));
   // One batched hand-off: the shared pool's shard is touched once per
   // heap, not once per page.
   SharedPool->releaseMany(std::move(Standard));
 }
 
-RegionHeap::Page RegionHeap::newPage(size_t CapWords) {
-  if (CapWords == PageWords && !Pool.empty()) {
-    Page P = std::move(Pool.back());
-    Pool.pop_back();
-    P.Used = 0;
-    P.Old = false;
-    Stats.CurrentHeapWords += P.Cap;
-    Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
-                                   Stats.CurrentHeapWords);
-    return P;
+uint32_t RegionHeap::takeRecord() {
+  if (!FreeRecords.empty()) {
+    uint32_t Id = FreeRecords.back();
+    FreeRecords.pop_back();
+    return Id;
   }
-  // The local free list is empty: try the cross-request pool before the
-  // allocator. Standard pages only; finite-region blocks bypass it.
-  if (CapWords == PageWords && SharedPool && !RetainReleasedPages) {
-    if (std::unique_ptr<uint64_t[]> Buf = SharedPool->acquire()) {
-      Page P;
-      P.Words = std::move(Buf);
-      P.Cap = PageWords;
-      P.Used = 0;
-      ++Stats.PagesFromSharedPool;
-      Stats.CurrentHeapWords += PageWords;
-      Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
-                                     Stats.CurrentHeapWords);
-      return P;
-    }
-  }
-  Page P;
-  P.Words = std::make_unique<uint64_t[]>(CapWords);
-  P.Cap = CapWords;
-  P.Used = 0;
-  ++Stats.PagesAllocated;
-  Stats.CurrentHeapWords += CapWords;
-  Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
-                                 Stats.CurrentHeapWords);
-  return P;
+  Pages.emplace_back();
+  return static_cast<uint32_t>(Pages.size() - 1);
 }
 
-void RegionHeap::retirePage(Page P) {
+uint32_t RegionHeap::newPage(size_t CapWords) {
+  uint32_t Id;
+  if (CapWords == PageWords && !Pool.empty()) {
+    Id = Pool.back();
+    Pool.pop_back();
+  } else {
+    std::unique_ptr<uint64_t[]> Buf;
+    // The local free list is empty: try the cross-request pool before
+    // the allocator. Standard pages only; finite-region blocks bypass it.
+    if (CapWords == PageWords && SharedPool && !RetainReleasedPages)
+      Buf = SharedPool->acquire();
+    if (Buf) {
+      ++Stats.PagesFromSharedPool;
+    } else {
+      Buf = std::make_unique<uint64_t[]>(CapWords);
+      ++Stats.PagesAllocated;
+    }
+    Id = takeRecord();
+    Pages[Id].Words = std::move(Buf);
+    Pages[Id].Cap = CapWords;
+  }
+  Page &P = Pages[Id];
+  P.Used = 0;
+  P.Old = false;
+  P.FromSpace = false;
+  P.Next = NoPage;
+  Stats.CurrentHeapWords += P.Cap;
+  Stats.PeakHeapWords = std::max(Stats.PeakHeapWords, Stats.CurrentHeapWords);
+  return Id;
+}
+
+void RegionHeap::retirePage(uint32_t Id) {
+  Page &P = Pages[Id];
   assert(Stats.CurrentHeapWords >= P.Cap && "heap accounting underflow");
   Stats.CurrentHeapWords -= P.Cap;
-  if (!RetainReleasedPages && P.Cap == PageWords) {
-    Pool.push_back(std::move(P));
+  if (RetainReleasedPages)
+    return; // the record keeps its memory: never reused
+  if (P.Cap == PageWords) {
+    Pool.push_back(Id);
     return;
   }
-  if (RetainReleasedPages)
-    GraveyardPages.push_back(std::move(P));
-  // Non-standard (finite) pages are simply freed.
+  // Non-standard (finite and oversized) blocks are simply freed.
+  P.Words.reset();
+  FreeRecords.push_back(Id);
 }
 
-void RegionHeap::mapPage(const Page &P, uint32_t Handle) {
-  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-  AddrMap[Start] = {Start + P.Cap * 8, Handle, P.Old};
+void RegionHeap::appendPage(PageList &L, uint32_t Id) {
+  if (L.Last == NoPage)
+    L.First = Id;
+  else
+    Pages[L.Last].Next = Id;
+  L.Last = Id;
 }
 
-void RegionHeap::unmapPage(const Page &P) {
-  AddrMap.erase(reinterpret_cast<uintptr_t>(P.Words.get()));
+uint32_t RegionHeap::profileSlot(uint32_t StaticId) {
+  auto [It, Inserted] = ProfileIndex.try_emplace(
+      StaticId, static_cast<uint32_t>(Profiles.size()));
+  if (Inserted) {
+    RegionProfile Prof;
+    Prof.StaticId = StaticId;
+    Profiles.push_back(Prof);
+  }
+  return It->second;
 }
 
 uint32_t RegionHeap::create(uint32_t StaticId, RegionKind Kind,
                             unsigned FiniteWords) {
+  uint32_t Handle = static_cast<uint32_t>(Regions.size());
   Region R;
   R.StaticId = StaticId;
   R.Kind = Kind;
   R.Finite = FiniteWords != 0;
   R.Live = true;
-  uint32_t Handle = static_cast<uint32_t>(Regions.size());
-  Regions.push_back(std::move(R));
+  R.Profile = profileSlot(StaticId);
+  Regions.push_back(R);
+  Live.push_back(Handle);
   ++Stats.RegionsCreated;
-  RegionProfile &Prof = Profiles[StaticId];
-  Prof.StaticId = StaticId;
+  RegionProfile &Prof = Profiles[R.Profile];
   Prof.Kind = Kind;
   Prof.Finite = FiniteWords != 0;
   ++Prof.Instances;
   if (FiniteWords != 0) {
     ++Stats.FiniteRegionsCreated;
-    Page P = newPage(FiniteWords);
-    mapPage(P, Handle);
-    Regions[Handle].Pages.push_back(std::move(P));
+    uint32_t Id = newPage(FiniteWords);
+    Pages[Id].Region = Handle;
+    indexPage(Id);
+    appendPage(Regions[Handle].Pages, Id);
   }
   return Handle;
 }
@@ -123,15 +148,19 @@ void RegionHeap::release(uint32_t Handle) {
   Region &R = Regions[Handle];
   assert(R.Live && "double release of a region");
   R.Live = false;
-  for (Page &P : R.Pages) {
-    if (RetainReleasedPages) {
-      uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-      Graveyard[Start] = {Start + P.Cap * 8, R.StaticId};
-    }
-    unmapPage(P);
-    retirePage(std::move(P));
+  // Regions die in stack order, so the handle is almost always on top.
+  auto It = std::find(Live.rbegin(), Live.rend(), Handle);
+  if (It != Live.rend())
+    Live.erase(std::next(It).base());
+  for (uint32_t Id = R.Pages.First; Id != NoPage;) {
+    uint32_t Next = Pages[Id].Next;
+    if (RetainReleasedPages)
+      Graveyard.push_back(Id);
+    unindexPage(Id);
+    retirePage(Id);
+    Id = Next;
   }
-  R.Pages.clear();
+  R.Pages = PageList();
 }
 
 uint64_t *RegionHeap::alloc(uint32_t Handle, size_t Words) {
@@ -140,102 +169,91 @@ uint64_t *RegionHeap::alloc(uint32_t Handle, size_t Words) {
   assert(R.Live && "allocation into a dead region");
   Stats.AllocWords += Words;
   AllocSinceGc += Words;
-  Profiles[R.StaticId].AllocWords += Words;
-  if (R.Pages.empty() || R.Pages.back().Old ||
-      R.Pages.back().Used + Words > R.Pages.back().Cap) {
-    size_t Cap = std::max(Words, PageWords);
-    Page P = newPage(Cap);
-    mapPage(P, Handle);
-    R.Pages.push_back(std::move(P));
+  Profiles[R.Profile].AllocWords += Words;
+  uint32_t Id = R.Pages.Last;
+  if (Id == NoPage || Pages[Id].Old || Pages[Id].Used + Words > Pages[Id].Cap) {
+    Id = newPage(std::max(Words, PageWords));
+    Pages[Id].Region = Handle;
+    indexPage(Id);
+    appendPage(R.Pages, Id);
   }
-  Page &P = R.Pages.back();
+  Page &P = Pages[Id];
   uint64_t *Out = P.Words.get() + P.Used;
   P.Used += Words;
   return Out;
 }
 
-std::optional<uint32_t> RegionHeap::ownerOf(const uint64_t *Ptr) const {
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Ptr);
-  auto It = AddrMap.upper_bound(Addr);
-  if (It == AddrMap.begin())
-    return std::nullopt;
-  --It;
-  if (Addr >= It->first && Addr < It->second.End)
-    return It->second.Region;
-  return std::nullopt;
-}
-
-bool RegionHeap::isOldAddr(const uint64_t *Ptr) const {
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Ptr);
-  auto It = AddrMap.upper_bound(Addr);
-  if (It == AddrMap.begin())
-    return false;
-  --It;
-  return Addr >= It->first && Addr < It->second.End && It->second.Old;
-}
-
 std::optional<uint32_t>
 RegionHeap::graveyardOwnerOf(const uint64_t *Ptr) const {
+  // Diagnostics only (one call per detected dangling pointer): a scan.
+  // Retained pages are never freed, so their ranges never overlap.
   uintptr_t Addr = reinterpret_cast<uintptr_t>(Ptr);
-  auto It = Graveyard.upper_bound(Addr);
-  if (It == Graveyard.begin())
-    return std::nullopt;
-  --It;
-  if (Addr >= It->first && Addr < It->second.first)
-    return It->second.second;
+  for (uint32_t Id : Graveyard) {
+    const Page &P = Pages[Id];
+    uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
+    if (Addr >= Start && Addr < Start + P.Cap * 8)
+      return Regions[P.Region].StaticId;
+  }
   return std::nullopt;
 }
 
-std::vector<uint32_t> RegionHeap::liveRegions() const {
-  std::vector<uint32_t> Out;
-  for (uint32_t I = 0; I < Regions.size(); ++I)
-    if (Regions[I].Live)
-      Out.push_back(I);
-  return Out;
+size_t RegionHeap::pageCount(uint32_t Handle) const {
+  size_t N = 0;
+  for (uint32_t Id = Regions[Handle].Pages.First; Id != NoPage;
+       Id = Pages[Id].Next)
+    ++N;
+  return N;
 }
 
-std::vector<RegionHeap::Page> RegionHeap::detachPages(uint32_t Handle,
-                                                      bool YoungOnly) {
+RegionHeap::PageList RegionHeap::detachPages(uint32_t Handle,
+                                             bool YoungOnly) {
   Region &R = Regions[Handle];
-  // Pages stay in the address map so the collector can resolve from-space
-  // pointers; dropFromSpace removes them.
-  if (!YoungOnly) {
-    std::vector<Page> Out = std::move(R.Pages);
-    R.Pages.clear();
-    return Out;
+  // Pages stay indexed so the collector can resolve from-space
+  // pointers; dropFromSpace unindexes them.
+  PageList Young, Kept;
+  for (uint32_t Id = R.Pages.First; Id != NoPage;) {
+    uint32_t Next = Pages[Id].Next;
+    Pages[Id].Next = NoPage;
+    if (YoungOnly && Pages[Id].Old) {
+      appendPage(Kept, Id);
+    } else {
+      Pages[Id].FromSpace = true;
+      appendPage(Young, Id);
+    }
+    Id = Next;
   }
-  std::vector<Page> Young, Kept;
-  for (Page &P : R.Pages) {
-    if (P.Old)
-      Kept.push_back(std::move(P));
-    else
-      Young.push_back(std::move(P));
-  }
-  R.Pages = std::move(Kept);
+  R.Pages = Kept;
   return Young;
 }
 
-void RegionHeap::sealLivePages() {
-  for (Region &R : Regions) {
-    if (!R.Live)
-      continue;
-    for (Page &P : R.Pages) {
-      if (P.Old)
-        continue;
-      P.Old = true;
-      uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-      auto It = AddrMap.find(Start);
-      if (It != AddrMap.end())
-        It->second.Old = true;
-    }
+void RegionHeap::dropFromSpace(PageList Detached) {
+  for (uint32_t Id = Detached.First; Id != NoPage;) {
+    uint32_t Next = Pages[Id].Next;
+    unindexPage(Id);
+    Pages[Id].FromSpace = false;
+    retirePage(Id);
+    Id = Next;
   }
+}
+
+void RegionHeap::sealLivePages() {
+  for (uint32_t Handle : Live)
+    for (uint32_t Id = Regions[Handle].Pages.First; Id != NoPage;
+         Id = Pages[Id].Next)
+      Pages[Id].Old = true;
 }
 
 std::vector<RegionProfile> RegionHeap::profiles() const {
   std::vector<RegionProfile> Out;
-  Out.reserve(Profiles.size());
-  for (const auto &[Id, P] : Profiles)
-    Out.push_back(P);
+  for (const RegionProfile &P : Profiles)
+    if (P.Instances != 0 || P.AllocWords != 0)
+      Out.push_back(P);
+  // Static-id order first: the allocation-weight sort below then sees
+  // the same input sequence whatever order the slots were made in.
+  std::sort(Out.begin(), Out.end(),
+            [](const RegionProfile &A, const RegionProfile &B) {
+              return A.StaticId < B.StaticId;
+            });
   std::sort(Out.begin(), Out.end(),
             [](const RegionProfile &A, const RegionProfile &B) {
               return A.AllocWords > B.AllocWords;
@@ -243,9 +261,98 @@ std::vector<RegionProfile> RegionHeap::profiles() const {
   return Out;
 }
 
-void RegionHeap::dropFromSpace(std::vector<Page> Pages) {
-  for (Page &P : Pages) {
-    unmapPage(P);
-    retirePage(std::move(P));
+//===----------------------------------------------------------------------===//
+// The page index
+//===----------------------------------------------------------------------===//
+
+size_t RegionHeap::bucketHome(uintptr_t Granule) const {
+  // Fibonacci hashing onto the power-of-two table.
+  uint64_t H = static_cast<uint64_t>(Granule) * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(H >> 32) & (Buckets.size() - 1);
+}
+
+RegionHeap::Bucket &RegionHeap::bucketFor(uintptr_t Granule) {
+  if ((BucketsUsed + 1) * 2 > Buckets.size()) {
+    // Grow (never shrink) and reinsert: the table stays at most half
+    // full, so probe runs stay short.
+    std::vector<Bucket> Old = std::move(Buckets);
+    Buckets.assign(std::max<size_t>(64, Old.size() * 2), Bucket{});
+    const size_t Mask = Buckets.size() - 1;
+    for (const Bucket &B : Old) {
+      if (B.Granule == 0)
+        continue;
+      size_t I = bucketHome(B.Granule);
+      while (Buckets[I].Granule != 0)
+        I = (I + 1) & Mask;
+      Buckets[I] = B;
+    }
+  }
+  const size_t Mask = Buckets.size() - 1;
+  size_t I = bucketHome(Granule);
+  while (Buckets[I].Granule != 0 && Buckets[I].Granule != Granule)
+    I = (I + 1) & Mask;
+  if (Buckets[I].Granule == 0) {
+    Buckets[I].Granule = Granule;
+    ++BucketsUsed;
+  }
+  return Buckets[I];
+}
+
+void RegionHeap::eraseBucket(size_t I) {
+  // Backward-shift deletion keeps every probe run gap-free.
+  const size_t Mask = Buckets.size() - 1;
+  for (size_t J = (I + 1) & Mask; Buckets[J].Granule != 0;
+       J = (J + 1) & Mask) {
+    size_t Home = bucketHome(Buckets[J].Granule);
+    // Move J into the hole at I unless its home lies cyclically in
+    // (I, J].
+    bool HomeBetween = I <= J ? (Home > I && Home <= J)
+                              : (Home > I || Home <= J);
+    if (!HomeBetween) {
+      Buckets[I] = Buckets[J];
+      I = J;
+    }
+  }
+  Buckets[I] = Bucket{};
+  --BucketsUsed;
+}
+
+void RegionHeap::indexPage(uint32_t Id) {
+  const Page &P = Pages[Id];
+  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
+  uintptr_t Last = Start + P.Cap * 8 - 1;
+  for (uintptr_t G = Start >> GranuleShift; G <= Last >> GranuleShift; ++G) {
+    uint32_t L;
+    if (FreeLink != NoPage) {
+      L = FreeLink;
+      FreeLink = Links[L].Next;
+    } else {
+      L = static_cast<uint32_t>(Links.size());
+      Links.push_back(Link{});
+    }
+    Bucket &B = bucketFor(G);
+    Links[L] = Link{Id, B.Head};
+    B.Head = L;
+  }
+}
+
+void RegionHeap::unindexPage(uint32_t Id) {
+  const Page &P = Pages[Id];
+  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
+  uintptr_t Last = Start + P.Cap * 8 - 1;
+  const size_t Mask = Buckets.size() - 1;
+  for (uintptr_t G = Start >> GranuleShift; G <= Last >> GranuleShift; ++G) {
+    size_t I = bucketHome(G);
+    while (Buckets[I].Granule != G)
+      I = (I + 1) & Mask;
+    uint32_t *Prev = &Buckets[I].Head;
+    while (Links[*Prev].Page != Id)
+      Prev = &Links[*Prev].Next;
+    uint32_t L = *Prev;
+    *Prev = Links[L].Next;
+    Links[L].Next = FreeLink;
+    FreeLink = L;
+    if (Buckets[I].Head == NoPage)
+      eraseBucket(I);
   }
 }

@@ -17,6 +17,7 @@
 #include "RunRow.h"
 
 #include "core/Pipeline.h"
+#include "rt/FlatEval.h"
 #include "service/DiskCache.h"
 #include "service/Service.h"
 
@@ -293,6 +294,245 @@ TEST(FlatCorruption, StructurallyInvalidUnitsRejectAtDecode) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frames: every reference resolves inside its own frame, or no decode
+//===----------------------------------------------------------------------===//
+
+/// Hand-built units: nodes appended in order, the last one the root.
+struct HandUnit {
+  flat::FlatUnit U;
+
+  HandUnit() {
+    // Name ids 0..2 are "x", "y" and "z".
+    U.StringBlob = "xyz";
+    U.StringSpans = {{0, 1}, {1, 1}, {2, 1}};
+    U.Regions.push_back(flat::FlatRegion{}); // r0, the global region
+  }
+
+  uint32_t add(RExpr::Kind K, uint32_t A = flat::NoIndex,
+               uint32_t B = flat::NoIndex, uint32_t C = flat::NoIndex) {
+    flat::FlatNode N;
+    N.Kind = static_cast<uint8_t>(K);
+    N.A = A;
+    N.B = B;
+    N.C = C;
+    U.Nodes.push_back(N);
+    U.Root = static_cast<uint32_t>(U.Nodes.size() - 1);
+    return U.Root;
+  }
+  flat::FlatNode &last() { return U.Nodes.back(); }
+
+  uint32_t intLit(int64_t V) {
+    uint32_t I = add(RExpr::Kind::IntLit);
+    last().Int = V;
+    return I;
+  }
+  uint32_t var(uint32_t Name) {
+    uint32_t I = add(RExpr::Kind::Var);
+    last().Name = Name;
+    return I;
+  }
+  uint32_t let(uint32_t Name, uint32_t A, uint32_t B) {
+    uint32_t I = add(RExpr::Kind::Let, A, B);
+    last().Name = Name;
+    return I;
+  }
+  /// A lambda \Param. Body at the global region capturing \p Captures.
+  uint32_t lam(uint32_t Param, uint32_t Body,
+               std::vector<uint32_t> Captures = {}) {
+    flat::FlatFn F;
+    F.Body = Body;
+    F.Param = Param;
+    F.CapturesBegin = static_cast<uint32_t>(U.Aux.size());
+    F.CapturesCount = static_cast<uint32_t>(Captures.size());
+    U.Aux.insert(U.Aux.end(), Captures.begin(), Captures.end());
+    F.FreeRegionsBegin = F.FormalsBegin = static_cast<uint32_t>(U.Aux.size());
+    U.Fns.push_back(F);
+    uint32_t I = add(RExpr::Kind::Lam, Body);
+    last().Fn = static_cast<uint32_t>(U.Fns.size() - 1);
+    last().AtRho = 0;
+    return I;
+  }
+
+  /// What the disk tier would load.
+  std::shared_ptr<const flat::FlatUnit> decoded() const {
+    return flat::decodeFlat(flat::encodeFlat(U));
+  }
+};
+
+TEST(FlatFrames, UnboundVariableRejectsAtDecode) {
+  HandUnit Bad;
+  Bad.var(0);
+  EXPECT_EQ(Bad.decoded(), nullptr);
+
+  HandUnit Good; // let x = 1 in x
+  uint32_t One = Good.intLit(1);
+  uint32_t X = Good.var(0);
+  Good.let(0, One, X);
+  auto Back = Good.decoded();
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->Nodes[X].Slot, 0u) << "x is slot 0 of the root frame";
+  EXPECT_EQ(rt::runFlatUnit(*Back, rt::EvalOptions{}).Outcome,
+            rt::RunOutcome::Ok);
+
+  HandUnit Scoped; // (let x = 1 in x) ; x — x is out of scope again
+  uint32_t SOne = Scoped.intLit(1);
+  uint32_t SX = Scoped.var(0);
+  uint32_t In = Scoped.let(0, SOne, SX);
+  uint32_t Out = Scoped.var(0);
+  Scoped.U.Aux = {In, Out};
+  Scoped.add(RExpr::Kind::Seq);
+  Scoped.last().AuxCount = 2;
+  EXPECT_EQ(Scoped.decoded(), nullptr);
+}
+
+TEST(FlatFrames, UnboundCaptureRejectsAtDecode) {
+  // \x. y, capturing y where nothing binds it.
+  HandUnit Bad;
+  Bad.lam(0, Bad.var(1), {1});
+  EXPECT_EQ(Bad.decoded(), nullptr);
+
+  // A body that reaches outside its frame without a capture: the
+  // enclosing let binds y, but the lambda's frame holds only x.
+  HandUnit Escaping;
+  uint32_t Y = Escaping.intLit(2);
+  uint32_t Body = Escaping.var(1);
+  Escaping.let(1, Y, Escaping.lam(0, Body));
+  EXPECT_EQ(Escaping.decoded(), nullptr);
+
+  HandUnit Good; // let y = 2 in \x. y, with y captured
+  uint32_t GY = Good.intLit(2);
+  uint32_t GBody = Good.var(1);
+  Good.let(1, GY, Good.lam(0, GBody, {1}));
+  auto Back = Good.decoded();
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->AuxSlots[0], 0u) << "y is the creator frame's slot 0";
+  EXPECT_EQ(Back->Nodes[GBody].Slot, 0u) << "captures come first";
+}
+
+TEST(FlatFrames, UnboundRegionRejectsAtDecode) {
+  // (1, 2) at r7 with no letregion binding r7.
+  HandUnit Bad;
+  uint32_t A = Bad.intLit(1), B = Bad.intLit(2);
+  Bad.add(RExpr::Kind::PairE, A, B);
+  Bad.last().AtRho = 7;
+  EXPECT_EQ(Bad.decoded(), nullptr);
+
+  HandUnit Good; // letregion r7 in (1, 2) at r7 end
+  uint32_t GA = Good.intLit(1), GB = Good.intLit(2);
+  uint32_t Pair = Good.add(RExpr::Kind::PairE, GA, GB);
+  Good.last().AtRho = 7;
+  Good.add(RExpr::Kind::LetRegion, Pair);
+  Good.last().BoundRho = 7;
+  auto Back = Good.decoded();
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->Nodes[Pair].Slot, 0u) << "letregion depth 0";
+  EXPECT_EQ(rt::runFlatUnit(*Back, rt::EvalOptions{}).Outcome,
+            rt::RunOutcome::Ok);
+
+  // An RApp target is a region reference too.
+  HandUnit BadTarget;
+  uint32_t F = BadTarget.lam(0, BadTarget.var(0));
+  BadTarget.U.Aux.insert(BadTarget.U.Aux.end(), {3u, 9u});
+  BadTarget.add(RExpr::Kind::RApp, F);
+  BadTarget.last().AtRho = 0;
+  BadTarget.last().AuxBegin =
+      static_cast<uint32_t>(BadTarget.U.Aux.size() - 2);
+  BadTarget.last().AuxCount = 2;
+  EXPECT_EQ(BadTarget.decoded(), nullptr);
+}
+
+TEST(FlatFrames, FormalsSpanOutOfRangeRejectsAtDecode) {
+  Compiler C;
+  auto Unit = C.compile(RichProgram);
+  ASSERT_NE(Unit, nullptr);
+  flat::FlatUnit Bad = *Unit->Flat;
+  ASSERT_FALSE(Bad.Fns.empty());
+  Bad.Fns[0].FormalsBegin = static_cast<uint32_t>(Bad.Aux.size());
+  Bad.Fns[0].FormalsCount = 1;
+  EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+  EXPECT_NE(flat::decodeFlat(flat::encodeFlat(*Unit->Flat)), nullptr);
+}
+
+TEST(FlatFrames, SharedNodeRejectsAtDecode) {
+  // One node reached from two parents has no single frame.
+  HandUnit Bad;
+  uint32_t One = Bad.intLit(1);
+  Bad.add(RExpr::Kind::PairE, One, One);
+  Bad.last().AtRho = 0;
+  EXPECT_EQ(Bad.decoded(), nullptr);
+}
+
+TEST(FlatFrames, DecodedSlotsEqualTheFlattenersSlots) {
+  for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
+    SCOPED_TRACE(strategyName(Strat));
+    Compiler C;
+    CompileOptions Opts;
+    Opts.Strat = Strat;
+    auto Unit = C.compile(RichProgram, Opts);
+    ASSERT_NE(Unit, nullptr);
+    const flat::FlatUnit &U = *Unit->Flat;
+    auto Back = flat::decodeFlat(flat::encodeFlat(U));
+    ASSERT_NE(Back, nullptr);
+    ASSERT_EQ(Back->Nodes.size(), U.Nodes.size());
+    for (size_t I = 0; I < U.Nodes.size(); ++I)
+      EXPECT_EQ(Back->Nodes[I].Slot, U.Nodes[I].Slot) << "node " << I;
+    EXPECT_EQ(Back->AuxSlots, U.AuxSlots);
+    // Every variable of the flattener's output resolved.
+    for (const flat::FlatNode &N : U.Nodes)
+      if (N.Kind == static_cast<uint8_t>(RExpr::Kind::Var))
+        EXPECT_NE(N.Slot, flat::NoIndex);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Operands of the wrong shape: runtime errors, never crashes
+//===----------------------------------------------------------------------===//
+
+/// Runs \p H's decoded copy and expects an internal runtime error.
+void expectInternalError(const HandUnit &H, const char *Want) {
+  auto Back = H.decoded();
+  ASSERT_NE(Back, nullptr) << "the unit is structurally valid";
+  rt::RunResult R = rt::runFlatUnit(*Back, rt::EvalOptions{});
+  EXPECT_EQ(R.Outcome, rt::RunOutcome::RuntimeError);
+  EXPECT_EQ(R.Error, Want);
+}
+
+TEST(FlatOperands, RegionApplicationOfAScalarIsARuntimeError) {
+  HandUnit H;
+  H.add(RExpr::Kind::RApp, H.intLit(3));
+  H.last().AtRho = 0;
+  expectInternalError(H, "internal: region application of a non-closure");
+}
+
+TEST(FlatOperands, SelectionFromAScalarIsARuntimeError) {
+  HandUnit H;
+  H.add(RExpr::Kind::Sel, H.intLit(3));
+  expectInternalError(H, "internal: selection from a non-pair");
+}
+
+TEST(FlatOperands, DereferenceOfAScalarIsARuntimeError) {
+  HandUnit H;
+  H.add(RExpr::Kind::Deref, H.intLit(3));
+  expectInternalError(H, "internal: dereference of a non-reference");
+}
+
+TEST(FlatOperands, AssignmentToAScalarIsARuntimeError) {
+  HandUnit H;
+  uint32_t Target = H.intLit(3), V = H.intLit(4);
+  H.add(RExpr::Kind::Assign, Target, V);
+  expectInternalError(H, "internal: assignment to a non-reference");
+}
+
+TEST(FlatOperands, CaseOnAScalarIsARuntimeError) {
+  HandUnit H;
+  uint32_t Scrutinee = H.intLit(3), Nil = H.intLit(0), Cons = H.intLit(1);
+  H.add(RExpr::Kind::ListCase, Scrutinee, Nil, Cons);
+  H.last().HeadName = 0;
+  H.last().TailName = 1;
+  expectInternalError(H, "internal: case analysis of a non-list");
+}
+
+//===----------------------------------------------------------------------===//
 // The disk tier: damaged flat sections are counted misses
 //===----------------------------------------------------------------------===//
 
@@ -498,6 +738,27 @@ TEST(FlatDisk, VersionThreeEntryIsACountedLoadReject) {
   size_t Pos = presencePos(Bytes, *Fresh);
   Bytes.insert(Pos, std::string("\x10\x27\0\0\0\0\0\0", 8));
   Bytes[8] = 3;
+  writeFileBytes(File, Bytes);
+
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 1u);
+  EXPECT_EQ(Disk.counters().Hits, 0u);
+}
+
+TEST(FlatDisk, FlatVersionTwoEntryIsACountedLoadReject) {
+  ScratchDir Dir("flat_v2");
+  DiskCache Disk(Dir.str());
+  CacheKey K = CacheKey::of(SmallProgram, CompileOptions{});
+  CachedCompileRef Fresh = storeOne(Disk, K, SmallProgram);
+
+  // The nested flat section ends the entry; its version field is the
+  // u32 after its own 8-byte magic. v2 units carry no formals spans (and
+  // no frame resolution), so they must not load as v3.
+  fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+  std::string Bytes = readFileBytes(File);
+  size_t FlatStart = Bytes.size() - flat::encodeFlat(*Fresh->Flat).size();
+  ASSERT_EQ(static_cast<unsigned char>(Bytes[FlatStart + 8]), 3u);
+  Bytes[FlatStart + 8] = 2;
   writeFileBytes(File, Bytes);
 
   EXPECT_EQ(Disk.load(K), nullptr);

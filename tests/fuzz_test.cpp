@@ -28,8 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <random>
+#include <unordered_set>
 
 using namespace rml;
 
@@ -418,6 +420,50 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
       expectSmallStepAgrees(C2, *U2, R, Src, Cfg.Name);
     }
   }
+}
+
+/// RExpr nodes reached again when \p E is walked as a tree: the copies
+/// flattenProgram makes so that every flat node sits in one frame.
+size_t sharedVisits(const RExpr *E, std::unordered_set<const RExpr *> &Seen) {
+  if (!E)
+    return 0;
+  size_t N = Seen.insert(E).second ? 0 : 1;
+  N += sharedVisits(E->A, Seen) + sharedVisits(E->B, Seen) +
+       sharedVisits(E->C, Seen);
+  for (const RExpr *Item : E->Items)
+    N += sharedVisits(Item, Seen);
+  return N;
+}
+
+TEST_P(FuzzTest, EveryProgramResolvesInItsFrames) {
+  // Lexical frame slots replace the runtime's search by name: every
+  // variable, capture and region reference the flattener emits must
+  // resolve inside its own frame — the decoder rejects any that does
+  // not, so a miss here would be a disk-tier load reject.
+  const int ProgramsPerSeed = 40;
+  size_t Units = 0, Unshared = 0;
+  for (int I = 0; I < ProgramsPerSeed; ++I) {
+    std::string Src = ProgGen(GetParam() * 1000 + I).program();
+    for (Strategy S : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
+      Compiler C;
+      CompileOptions Opts;
+      Opts.Strat = S;
+      auto Unit = C.compile(Src, Opts);
+      ASSERT_NE(Unit, nullptr) << C.diagnostics().str() << "\n" << Src;
+      flat::FlatUnit Copy = *Unit->Flat;
+      EXPECT_TRUE(flat::resolveFrames(Copy)) << strategyName(S) << "\n"
+                                             << Src;
+      EXPECT_NE(flat::decodeFlat(flat::encodeFlat(*Unit->Flat)), nullptr)
+          << strategyName(S) << "\n" << Src;
+      std::unordered_set<const RExpr *> Seen;
+      Unshared += sharedVisits(Unit->program().Root, Seen);
+      ++Units;
+    }
+  }
+  RecordProperty("units", static_cast<int>(Units));
+  RecordProperty("unshared_nodes", static_cast<int>(Unshared));
+  std::printf("seed %u: %zu units resolved, %zu nodes unshared\n",
+              GetParam(), Units, Unshared);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,

@@ -67,7 +67,7 @@ TEST(Heap, MultiplePagesGrow) {
   uint32_t R = H.create(1, RegionKind::Mixed, 0);
   for (int I = 0; I < 1000; ++I)
     H.alloc(R, 3); // 3000 words > one 256-word page
-  EXPECT_GT(H.region(R).Pages.size(), 1u);
+  EXPECT_GT(H.pageCount(R), 1u);
   EXPECT_EQ(H.Stats.AllocWords, 3000u);
 }
 
